@@ -8,9 +8,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "api/problem_builder.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
-#include "core/manufactured.hpp"
 
 namespace {
 
@@ -22,7 +21,6 @@ void declare_options(Cli& cli) {
 }
 
 int run(const Cli& cli) {
-  const auto ms = core::ManufacturedSolution::trigonometric();
   std::printf("MMS convergence, exact solution 2 + sin/cos products, "
               "twisted meshes\n");
 
@@ -35,23 +33,19 @@ int run(const Cli& cli) {
       // Homogeneous pure absorber: material 2 always scatters (its ratio
       // is c + 0.1), which would need source iterations; with mat_opt 0
       // and c = 0 a single sweep solves the problem exactly in angle.
-      const api::Problem problem =
-          api::ProblemBuilder()
-              .mesh({.dims = {cells, cells, cells},
+      api::RunConfig config;
+      config.mode = api::RunMode::Mms;
+      config.mesh = {.dims = {cells, cells, cells},
                      .twist = 0.01,
                      .shuffle_seed = 5,
-                     .order = order})
-              .angular({.nang = 4})
-              .materials({.num_groups = 1,
+                     .order = order};
+      config.angular = {.nang = 4};
+      config.materials = {.num_groups = 1,
                           .mat_opt = 0,
-                          .scattering_ratio = 0.0})
-              .iteration({.iitm = 1, .oitm = 1})
-              .build();
-
-      const auto solver = problem.make_solver();
-      core::apply_manufactured(*solver, ms);
-      solver->run();
-      const double error = core::l2_error(*solver, ms);
+                          .scattering_ratio = 0.0};
+      config.iteration = {.iitm = 1, .oitm = 1};
+      const double error =
+          *api::Run(std::move(config)).execute().mms_l2_error;
       if (previous > 0.0)
         std::printf("  %d^3      %.6e   %.2f\n", cells, error,
                     std::log2(previous / error));

@@ -1,25 +1,29 @@
 // Criticality scenario: the k-eigenvalue companion of the fixed-source
 // examples. A two-group fuel cube sits in a water bath; the multigroup
-// library is built programmatically through xs::Library (the same model
-// `[xs] file = ...` decks load from disk) and handed to xs::KeffSolver,
-// which wraps the power iteration around downscatter-ordered groupset
-// transport solves. The scenario runs the problem twice — once split into
-// one groupset per group (the library is pure downscatter), once fused
-// into a single two-group block — and checks the two paths agree on k,
-// demonstrating that the groupset partition is a performance knob, not a
-// physics one.
+// library is built programmatically through xs::Library, written to a
+// temporary file and run through the same `[xs] file = ...` route decks
+// use (mode = keff: xs::KeffSolver's power iteration around
+// downscatter-ordered groupset transport solves). The scenario runs the
+// problem twice — once split into one groupset per group (the library is
+// pure downscatter), once fused into a single two-group block — and
+// checks the two paths agree on k, demonstrating that the groupset
+// partition is a performance knob, not a physics one.
 //
 // The fuel is tuned so its infinite-medium eigenvalue is exactly 1
 // (see decks/xs/criticality.xs for the closed form); the finite, leaky
 // configuration lands well below that.
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
 
-#include "api/problem_builder.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
 #include "util/assert.hpp"
-#include "xs/keff.hpp"
 #include "xs/library.hpp"
 
 namespace {
@@ -57,6 +61,31 @@ xs::Library criticality_library() {
   return lib;
 }
 
+/// A library written to a fresh temporary file, removed again on scope
+/// exit.
+class LibraryFile {
+ public:
+  explicit LibraryFile(const xs::Library& lib)
+      : path_((std::filesystem::temp_directory_path() /
+               "unsnap_criticality_XXXXXX")
+                  .string()) {
+    const int fd = ::mkstemp(path_.data());
+    require(fd >= 0, "criticality: cannot create a temporary library file");
+    ::close(fd);
+    std::ofstream out(path_);
+    out << xs::write_library(lib);
+    require(out.good(), "criticality: cannot write '" + path_ + "'");
+  }
+  ~LibraryFile() { std::remove(path_.c_str()); }
+  LibraryFile(const LibraryFile&) = delete;
+  LibraryFile& operator=(const LibraryFile&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 void declare_options(Cli& cli) {
   cli.option("nx", "6", "elements per axis");
   cli.option("nang", "2", "angles per octant");
@@ -68,53 +97,53 @@ void declare_options(Cli& cli) {
 }
 
 int run(const Cli& cli) {
-  const xs::Library lib = criticality_library();
+  const LibraryFile library(criticality_library());
 
-  api::ProblemBuilder builder;
-  builder
-      .mesh({.dims = {cli.get_int("nx"), cli.get_int("nx"),
-                      cli.get_int("nx")},
-             .extent = {4.0, 4.0, 4.0}})
-      .angular({.nang = cli.get_int("nang")})
-      .materials({.num_groups = lib.ng,
-                  .cross_sections = lib.cross_sections(),
-                  .material_map =
-                      [](const fem::Vec3& c) {
-                        const bool fuel = 0.5 < c[0] && c[0] < 3.5 &&
-                                          0.5 < c[1] && c[1] < 3.5 &&
-                                          0.5 < c[2] && c[2] < 3.5;
-                        return fuel ? 0 : 1;
-                      }})
-      .iteration({.epsi = cli.get_double("epsi"),
-                  .iitm = 20,
-                  .oitm = 3,
-                  .fixed_iterations = false});
-  const api::Problem problem = builder.build();
-
-  xs::KeffOptions options;
-  options.k_tol = cli.get_double("k-tol");
-  options.fission_tol = cli.get_double("fission-tol");
-  options.max_outers = cli.get_int("outers");
-  options.extrapolate = cli.get_flag("extrapolate");
+  api::RunConfig config;
+  config.mode = api::RunMode::Keff;
+  config.mesh = {.dims = {cli.get_int("nx"), cli.get_int("nx"),
+                          cli.get_int("nx")},
+                 .extent = {4.0, 4.0, 4.0}};
+  config.angular = {.nang = cli.get_int("nang")};
+  // Library materials in order: fuel (0) in the centre cube, water (1)
+  // around it.
+  api::Box fuel;
+  fuel.lo = {0.5, 0.5, 0.5};
+  fuel.hi = {3.5, 3.5, 3.5};
+  config.materials = {.num_groups = 2,
+                      .default_material = 1,
+                      .regions = {{.material = 0, .box = fuel}}};
+  config.iteration = {.epsi = cli.get_double("epsi"),
+                      .iitm = 20,
+                      .oitm = 3,
+                      .fixed_iterations = false};
+  config.xs = {.file = library.path(),
+               .k_tol = cli.get_double("k-tol"),
+               .fission_tol = cli.get_double("fission-tol"),
+               .max_outers = cli.get_int("outers"),
+               .extrapolate = cli.get_flag("extrapolate")};
 
   double k_split = 0.0;
   std::printf("criticality: %d^3 mesh, %d angles/octant, 2 groups\n\n",
               cli.get_int("nx"), cli.get_int("nang"));
+  std::shared_ptr<const core::Discretization> disc;
   for (const bool fused : {false, true}) {
-    xs::KeffOptions opt = options;
-    if (fused) opt.groupsets = {{0, lib.ng - 1}};
-    xs::KeffSolver solver(problem.discretization_ptr(), problem.input(),
-                          problem.data(), opt);
-    const xs::KeffResult result = solver.run();
-    std::printf("%s groupsets (%d):\n", fused ? "fused" : "per-group",
-                solver.num_groupsets());
+    // Empty = one groupset per group (the library is pure downscatter).
+    config.xs.groupsets = fused ? "0:1" : "";
+    api::Run run(config);
+    if (disc) run.set_shared_discretization(disc);
+    const api::RunRecord record = run.execute();
+    disc = run.shared_discretization();
+    const api::RunRecord::KeffStats& result = *record.keff;
+    std::printf("%s groupsets (%zu):\n", fused ? "fused" : "per-group",
+                result.groupsets.size());
     std::printf("  k = %.9f (%s after %d outers, dominance ratio %.3f)\n",
                 result.k, result.converged ? "converged" : "NOT converged",
                 result.outers, result.dominance_ratio);
     for (std::size_t s = 0; s < result.groupset_sweeps.size(); ++s)
       std::printf("  groupset %zu: %lld sweeps\n", s,
                   result.groupset_sweeps[s]);
-    const core::BalanceReport balance = solver.balance();
+    const core::BalanceReport& balance = *record.balance;
     std::printf("  balance: fission/k %.6e = absorption %.6e + "
                 "leakage %.6e (residual %.2e)\n\n",
                 balance.fission, balance.absorption, balance.leakage,

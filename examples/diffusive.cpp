@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "accel/inner.hpp"
-#include "api/problem_builder.hpp"
 #include "api/report.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
 #include "util/assert.hpp"
 #include "util/table.hpp"
@@ -25,35 +25,11 @@ namespace {
 
 using namespace unsnap;
 
-// Three materials: thin filler/detector, scattering source medium and a
-// thick diffusive shield. `c` is the scattering ratio of the source medium
-// and the shield; the filler keeps a benign fixed ratio.
-snap::CrossSections diffusive_xs(int ng, double c) {
-  snap::CrossSections xs;
-  xs.num_materials = 3;
-  xs.ng = ng;
-  const auto nm = static_cast<std::size_t>(xs.num_materials);
-  const auto g_count = static_cast<std::size_t>(ng);
-  xs.sigt.resize({nm, g_count});
-  xs.sigs.resize({nm, g_count});
-  xs.siga.resize({nm, g_count});
-  xs.slgg.resize({nm, g_count, g_count}, 0.0);
-  const double sigt[3] = {0.1, 5.0, 20.0};
-  const double ratio[3] = {0.5, c, c};
-  for (int m = 0; m < 3; ++m)
-    for (int g = 0; g < ng; ++g) {
-      xs.sigt(m, g) = sigt[m];
-      xs.sigs(m, g) = ratio[m] * sigt[m];
-      xs.siga(m, g) = xs.sigt(m, g) - xs.sigs(m, g);
-      xs.slgg(m, g, g) = xs.sigs(m, g);  // in-group only: a pure inner test
-    }
-  return xs;
-}
-
-int material_of(const fem::Vec3& c) {
-  if (c[2] < 1.0) return 1;  // source medium
-  if (c[2] < 1.8) return 2;  // diffusive shield (16 mfp thick)
-  return 0;                  // filler / detector
+// Every centroid with z below `z`: the deck's `-inf inf -inf inf -inf z`.
+api::Box below_z(double z) {
+  api::Box box;
+  box.hi[2] = z;
+  return box;
 }
 
 void declare_options(Cli& cli) {
@@ -72,7 +48,6 @@ void declare_options(Cli& cli) {
 }
 
 int run(const Cli& cli) {
-  const int ng = 2;
   std::vector<double> family{0.9, 0.99, 0.999};
   if (cli.get_double("c") != 0.0) {
     require(cli.get_double("c") > 0.0 && cli.get_double("c") < 1.0,
@@ -80,18 +55,24 @@ int run(const Cli& cli) {
     family = {cli.get_double("c")};
   }
 
-  api::ProblemBuilder builder;
-  builder
-      .mesh({.dims = {cli.get_int("nx"), cli.get_int("nx"),
-                      cli.get_int("nz")},
-             .extent = {1.0, 1.0, 3.0},
-             .twist = 0.001,
-             .shuffle_seed = 7})
-      .angular({.nang = cli.get_int("nang"),
-                .quadrature = angular::QuadratureKind::Product})
-      .source({.profile = [](const fem::Vec3& c, int) {
-        return c[2] < 1.0 ? 1.0 : 0.0;  // source medium only
-      }});
+  api::RunConfig config;
+  config.mesh = {.dims = {cli.get_int("nx"), cli.get_int("nx"),
+                          cli.get_int("nz")},
+                 .extent = {1.0, 1.0, 3.0},
+                 .twist = 0.001,
+                 .shuffle_seed = 7};
+  config.angular = {.nang = cli.get_int("nang"),
+                    .quadrature = angular::QuadratureKind::Product};
+  // Three materials: thin filler/detector (0), scattering source medium
+  // (1) and a thick diffusive shield (2, 16 mfp). The swept c is the
+  // scattering ratio of the source medium and the shield; the filler
+  // keeps a benign fixed ratio.
+  config.materials = {.num_groups = 2,
+                      .sigt = {0.1, 5.0, 20.0},
+                      .default_material = 0,
+                      .regions = {{.material = 1, .box = below_z(1.0)},
+                                  {.material = 2, .box = below_z(1.8)}}};
+  config.source = {.regions = {{.strength = 1.0, .box = below_z(1.0)}}};
 
   std::printf("Diffusive family: %dx%dx%d elements, %d angles/octant, "
               "epsi %.1e, sweep budget %d x %d outers\n",
@@ -103,29 +84,26 @@ int run(const Cli& cli) {
                "gmres s", "sweep ratio", "max flux diff"});
   std::shared_ptr<const core::Discretization> disc;
   for (const double c : family) {
-    builder.materials({.cross_sections = diffusive_xs(ng, c),
-                       .material_map = material_of});
+    config.materials.scattering = {0.5, c, c};
     core::IterationResult results[2];
     std::vector<double> fluxes[2];
     for (const snap::IterationScheme scheme :
          {snap::IterationScheme::SourceIteration,
           snap::IterationScheme::Gmres}) {
-      builder.iteration(
-          {.epsi = cli.get_double("epsi"),
-           .iitm = cli.get_int("iitm"),
-           .oitm = cli.get_int("oitm"),
-           .fixed_iterations = false,
-           .scheme = scheme,
-           .gmres_restart = cli.get_int("gmres-restart"),
-           .gmres_max_iters = cli.get_int("gmres-iters")});
-      const api::Problem problem =
-          disc ? builder.build(disc) : builder.build();
-      if (!disc) disc = problem.discretization_ptr();
-      const auto solver = problem.make_solver();
+      config.iteration = {.epsi = cli.get_double("epsi"),
+                          .iitm = cli.get_int("iitm"),
+                          .oitm = cli.get_int("oitm"),
+                          .fixed_iterations = false,
+                          .scheme = scheme,
+                          .gmres_restart = cli.get_int("gmres-restart"),
+                          .gmres_max_iters = cli.get_int("gmres-iters")};
+      api::Run run(config);
+      if (disc) run.set_shared_discretization(disc);
       const std::size_t which =
           scheme == snap::IterationScheme::Gmres ? 1 : 0;
-      results[which] = solver->run();
-      const core::NodalField& phi = solver->scalar_flux();
+      results[which] = *run.execute().iteration;
+      disc = run.shared_discretization();
+      const core::NodalField& phi = run.solver()->scalar_flux();
       fluxes[which].assign(phi.data(), phi.data() + phi.size());
       if (which == 1 && cli.get_flag("verbose")) {
         std::printf("\nc = %g gmres history:\n", c);

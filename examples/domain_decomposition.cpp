@@ -5,17 +5,14 @@
 // pipelined exchange (same-iteration halos staged through the rank-level
 // dependency DAG, single-domain iteration counts). Verifies both gathered
 // fluxes against the single-domain answer and prints the pipeline
-// fill/drain diagnostics. The distributed drivers consume the legacy
-// snap::Input deck, so this scenario also demonstrates the builder's
-// to_input() adapter and the DecompositionSpec.
+// fill/drain diagnostics. Every solve is one api::Run of the same
+// RunConfig; only its DecompositionSpec changes.
 
 #include <cmath>
 #include <cstdio>
 
-#include "api/problem_builder.hpp"
-#include "api/report.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
-#include "comm/distributed.hpp"
 
 namespace {
 
@@ -52,29 +49,27 @@ int run(const Cli& cli) {
   const int nx = cli.get_int("nx");
   const std::string which = cli.get("exchange");
   if (which != "both") (void)snap::sweep_exchange_from_string(which);
-  api::ProblemBuilder builder =
-      api::ProblemBuilder()
-          .mesh({.dims = {nx, nx, nx}, .twist = 0.001, .shuffle_seed = 17})
-          .angular({.nang = cli.get_int("nang")})
-          .materials({.num_groups = cli.get_int("ng"),
+  api::RunConfig config;
+  config.mesh = {.dims = {nx, nx, nx}, .twist = 0.001, .shuffle_seed = 17};
+  config.angular = {.nang = cli.get_int("nang")};
+  config.materials = {.num_groups = cli.get_int("ng"),
                       .mat_opt = 1,
-                      .scattering_ratio = 0.6})
-          .source({.src_opt = 1})
-          .iteration({.epsi = cli.get_double("epsi"),
+                      .scattering_ratio = 0.6};
+  config.source = {.src_opt = 1};
+  config.iteration = {.epsi = cli.get_double("epsi"),
                       .iitm = 500,
                       .oitm = 10,
-                      .fixed_iterations = false})
-          .execution({.scheme = snap::ConcurrencyScheme::Serial,
-                      .num_threads = 1});
+                      .fixed_iterations = false};
+  config.execution = {.scheme = snap::ConcurrencyScheme::Serial,
+                      .num_threads = 1};
 
   const int px = cli.get_int("px"), py = cli.get_int("py");
   std::printf("Domain decomposition: %d^3 elements, %dx%d KBA ranks\n", nx,
               px, py);
 
-  // Reference: one domain, plain sweeps, through the declarative API.
-  const api::Problem problem = builder.build();
-  const auto reference = problem.make_solver();
-  const core::IterationResult ref_result = reference->run();
+  // Reference: one domain, plain sweeps.
+  api::Run single(config);
+  const core::IterationResult ref_result = *single.execute().iteration;
   std::printf("\nsingle domain : %3d inners / %d outers, %.3f s "
               "(serial sweeps)\n",
               ref_result.inners, ref_result.outers,
@@ -85,13 +80,14 @@ int run(const Cli& cli) {
        {snap::SweepExchange::BlockJacobi, snap::SweepExchange::Pipelined}) {
     if (which != "both" && exchange != snap::sweep_exchange_from_string(which))
       continue;
-    builder.decomposition({.px = px, .py = py, .exchange = exchange});
-    comm::DistributedSweepSolver solver(builder.to_input(), px, py);
-    const comm::DistributedSweepResult result = solver.run();
+    config.decomposition = {.px = px, .py = py, .exchange = exchange};
+    api::Run run(config);
+    const api::RunRecord record = run.execute();
     std::printf("\n");
-    api::print_decomposition_report(solver, result);
+    api::print_decomposition_report(*record.decomposition, *record.iteration);
     std::printf("  max |phi_single - phi_distributed| = %.3e\n",
-                max_flux_diff(*reference, solver.gather_scalar_flux(), ng));
+                max_flux_diff(*single.solver(),
+                              run.distributed()->gather_scalar_flux(), ng));
   }
 
   std::printf(

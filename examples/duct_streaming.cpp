@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "api/problem_builder.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
 #include "io/vtk_writer.hpp"
 
@@ -18,29 +18,12 @@ namespace {
 
 using namespace unsnap;
 
-snap::CrossSections duct_xs(int ng) {
-  snap::CrossSections xs;
-  xs.num_materials = 2;
-  xs.ng = ng;
-  const auto g_count = static_cast<std::size_t>(ng);
-  xs.sigt.resize({2, g_count});
-  xs.sigs.resize({2, g_count});
-  xs.siga.resize({2, g_count});
-  xs.slgg.resize({2, g_count, g_count}, 0.0);
-  const double sigt[2] = {0.02, 5.0};   // duct void, absorber
-  const double ratio[2] = {0.0, 0.05};  // nearly pure absorber
-  for (int m = 0; m < 2; ++m)
-    for (int g = 0; g < ng; ++g) {
-      xs.sigt(m, g) = sigt[m];
-      xs.sigs(m, g) = ratio[m] * sigt[m];
-      xs.siga(m, g) = xs.sigt(m, g) - xs.sigs(m, g);
-      xs.slgg(m, g, g) = xs.sigs(m, g);
-    }
-  return xs;
-}
-
-bool in_duct(const fem::Vec3& c) {
-  return std::fabs(c[1] - 0.5) < 0.125 && std::fabs(c[2] - 0.5) < 0.125;
+// The duct: |y - 0.5|, |z - 0.5| < 0.125 along the full x range.
+api::Box duct_box() {
+  api::Box box;
+  box.lo[1] = box.lo[2] = 0.375;
+  box.hi[1] = box.hi[2] = 0.625;
+  return box;
 }
 
 void declare_options(Cli& cli) {
@@ -52,38 +35,39 @@ void declare_options(Cli& cli) {
 
 int run(const Cli& cli) {
   const int n = cli.get_int("n");
-  // Duct: |y-0.5|,|z-0.5| < 0.125 for the full x range. Source: the first
-  // 12.5% of the duct length.
-  const api::Problem problem =
-      api::ProblemBuilder()
-          .mesh({.dims = {n, n / 2, n / 2},
+  const api::Box duct_region = duct_box();
+  api::Box mouth = duct_region;  // source: the first 12.5% of the duct
+  mouth.hi[0] = 0.25;
+  api::RunConfig config;
+  config.mesh = {.dims = {n, n / 2, n / 2},
                  .extent = {2.0, 1.0, 1.0},
                  .twist = 0.0005,
                  .shuffle_seed = 3,
-                 .order = cli.get_int("order")})
-          .angular({.nang = cli.get_int("nang"),
-                    .quadrature = angular::QuadratureKind::Product})
-          .materials({.cross_sections = duct_xs(1),
-                      .material_map =
-                          [](const fem::Vec3& c) { return in_duct(c) ? 0 : 1; }})
-          .source({.profile =
-                       [](const fem::Vec3& c, int) {
-                         return in_duct(c) && c[0] < 0.25 ? 1.0 : 0.0;
-                       }})
-          .iteration({.epsi = 1e-6,
+                 .order = cli.get_int("order")};
+  config.angular = {.nang = cli.get_int("nang"),
+                    .quadrature = angular::QuadratureKind::Product};
+  // Duct void (material 0) through a nearly pure absorber (material 1).
+  config.materials = {.num_groups = 1,
+                      .sigt = {0.02, 5.0},
+                      .scattering = {0.0, 0.05},
+                      .default_material = 1,
+                      .regions = {{.material = 0, .box = duct_region}}};
+  config.source = {.regions = {{.strength = 1.0, .box = mouth}}};
+  config.iteration = {.epsi = 1e-6,
                       .iitm = 100,
                       .oitm = 2,
-                      .fixed_iterations = false})
-          .build();
+                      .fixed_iterations = false};
 
-  const core::Discretization& disc = problem.discretization();
-  const auto solver = problem.make_solver();
-  const core::IterationResult result = solver->run();
-  const snap::Input& input = problem.input();
+  api::Run run(std::move(config));
+  const api::RunRecord record = run.execute();
+  const core::TransportSolver& solver = *run.solver();
+  const core::Discretization& disc = solver.discretization();
+  const snap::Input& input = solver.input();
   std::printf("Duct streaming: %dx%dx%d elements, %d angles/octant, "
               "converged=%s in %d inners\n",
               input.dims[0], input.dims[1], input.dims[2], input.nang,
-              result.converged ? "yes" : "no", result.inners);
+              record.iteration->converged ? "yes" : "no",
+              record.iteration->inners);
 
   // Flux profile vs x, on the duct axis and inside the absorber.
   const int bins = input.dims[0];
@@ -93,12 +77,12 @@ int run(const Cli& cli) {
     const auto c = disc.mesh().centroid(e);
     const int bin = std::min(bins - 1, static_cast<int>(c[0] / 2.0 * bins));
     const bool deep_wall = std::fabs(c[1] - 0.5) > 0.3;
-    if (!in_duct(c) && !deep_wall) continue;
+    if (!duct_region.contains(c) && !deep_wall) continue;
     const double* w = disc.integrals().node_weights(e);
-    const double* ph = solver->scalar_flux().at(e, 0);
+    const double* ph = solver.scalar_flux().at(e, 0);
     double integral = 0.0;
     for (int i = 0; i < disc.num_nodes(); ++i) integral += w[i] * ph[i];
-    if (in_duct(c)) {
+    if (duct_region.contains(c)) {
       duct[bin] += integral;
       duct_vol[bin] += disc.integrals().volume(e);
     } else {
@@ -118,11 +102,11 @@ int run(const Cli& cli) {
               "inside the absorber\n(5 mfp per 1.0 of depth).\n");
 
   if (!cli.get("vtk").empty()) {
-    std::vector<double> mat_field(problem.data().material.begin(),
-                                  problem.data().material.end());
+    std::vector<double> mat_field(solver.problem().material.begin(),
+                                  solver.problem().material.end());
     io::write_vtk(cli.get("vtk"), disc.mesh(),
                   {{"flux",
-                    io::cell_average_flux(disc, solver->scalar_flux(), 0)},
+                    io::cell_average_flux(disc, solver.scalar_flux(), 0)},
                    {"material", mat_field}});
     std::printf("wrote %s\n", cli.get("vtk").c_str());
   }

@@ -6,11 +6,9 @@
 // warm-starts the source iteration.
 
 #include <cstdio>
-#include <memory>
 
-#include "api/problem_builder.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
-#include "core/time_dependent.hpp"
 
 namespace {
 
@@ -27,44 +25,37 @@ void declare_options(Cli& cli) {
 
 int run(const Cli& cli) {
   const int nx = cli.get_int("nx");
-  // The time integrator consumes the lowered deck and builds its own
-  // problem data, so lower via to_input() instead of materialising a
-  // Problem whose data would go unused.
-  const snap::Input input =
-      api::ProblemBuilder()
-          .mesh({.dims = {nx, nx, nx}, .twist = 0.001, .shuffle_seed = 21})
-          .angular({.nang = cli.get_int("nang")})
-          .materials({.num_groups = cli.get_int("ng"),
+  api::RunConfig config;
+  config.mode = api::RunMode::Time;
+  config.mesh = {.dims = {nx, nx, nx}, .twist = 0.001, .shuffle_seed = 21};
+  config.angular = {.nang = cli.get_int("nang")};
+  config.materials = {.num_groups = cli.get_int("ng"),
                       .mat_opt = 0,
-                      .scattering_ratio = cli.get_double("c")})
-          .source({.src_opt = 0})
-          .iteration({.epsi = 1e-7,
+                      .scattering_ratio = cli.get_double("c")};
+  config.source = {.src_opt = 0};
+  config.iteration = {.epsi = 1e-7,
                       .iitm = 200,
                       .oitm = 10,
-                      .fixed_iterations = false})
-          .to_input();
+                      .fixed_iterations = false};
+  // A uniform unit pulse decaying freely: no driving source.
+  config.time = {.dt = cli.get_double("dt"),
+                 .steps = cli.get_int("steps"),
+                 .initial = 1.0,
+                 .zero_source = true};
+  const api::RunRecord record = api::Run(config).execute();
 
-  const auto disc = std::make_shared<const core::Discretization>(input);
-  core::TimeDependentSolver td(
-      disc, input, core::TimeDependentSolver::snap_velocities(input.ng),
-      cli.get_double("dt"));
-  td.solver().problem().qext.fill(0.0);  // pure decay, no driving source
-  td.set_initial_condition(1.0);
-
-  const double d0 = td.total_density();
+  const double d0 = *record.initial_density;
   std::printf("Pulse decay: %d^3 box, %d groups, c = %.2f, dt = %.3g\n",
-              nx, input.ng, cli.get_double("c"), td.dt());
+              nx, record.config.ng, cli.get_double("c"), config.time.dt);
   std::printf("\n  time    density     fraction   inners\n");
   std::printf("  %5.2f   %.4e   %7.4f\n", 0.0, d0, 1.0);
   double previous = d0;
-  for (int n = 0; n < cli.get_int("steps"); ++n) {
-    const auto result = td.step();
-    std::printf("  %5.2f   %.4e   %7.4f   %d\n", result.time,
-                result.total_density, result.total_density / d0,
-                result.iteration.inners);
-    if (result.total_density > previous)
+  for (const api::RunRecord::TimeStep& step : record.steps) {
+    std::printf("  %5.2f   %.4e   %7.4f   %d\n", step.time,
+                step.total_density, step.total_density / d0, step.inners);
+    if (step.total_density > previous)
       std::printf("  WARNING: density grew without a source!\n");
-    previous = result.total_density;
+    previous = step.total_density;
   }
   std::printf(
       "\nReading: the population decays monotonically; the decay rate is\n"

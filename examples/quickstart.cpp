@@ -4,13 +4,13 @@
 //
 //   ./unsnap --scenario quickstart [--nx 8] [--order 1] [--ng 4] ...
 //
-// This is the minimal end-to-end use of the declarative API: compose the
-// option structs on an api::ProblemBuilder, build, solve, inspect.
+// This is the minimal end-to-end use of the declarative API: describe the
+// problem in an api::RunConfig, execute it through api::Run, inspect.
 
 #include <cstdio>
 
-#include "api/problem_builder.hpp"
 #include "api/report.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
 
 namespace {
@@ -29,37 +29,34 @@ void declare_options(Cli& cli) {
 
 int run(const Cli& cli) {
   const int nx = cli.get_int("nx");
-  const api::Problem problem =
-      api::ProblemBuilder()
-          .mesh({.dims = {nx, nx, nx},
+  api::RunConfig config;
+  config.mesh = {.dims = {nx, nx, nx},
                  .twist = cli.get_double("twist"),
                  .shuffle_seed = 42,  // store the brick as a shuffled soup
-                 .order = cli.get_int("order")})
-          .angular({.nang = cli.get_int("nang")})
-          .materials({.num_groups = cli.get_int("ng"),
+                 .order = cli.get_int("order")};
+  config.angular = {.nang = cli.get_int("nang")};
+  config.materials = {.num_groups = cli.get_int("ng"),
                       .mat_opt = 1,  // denser material in the centre box
-                      .scattering_ratio = 0.5})
-          .source({.src_opt = 1})  // source in the centre box
-          .iteration({.epsi = cli.get_double("epsi"),
+                      .scattering_ratio = 0.5};
+  config.source = {.src_opt = 1};  // source in the centre box
+  config.iteration = {.epsi = cli.get_double("epsi"),
                       .iitm = 100,
                       .oitm = 20,
-                      .fixed_iterations = false})
-          .execution({.num_threads = cli.get_int("threads")})
-          .build();
+                      .fixed_iterations = false};
+  config.execution = {.num_threads = cli.get_int("threads")};
 
-  const snap::Input& input = problem.input();
-  const core::Discretization& disc = problem.discretization();
+  api::Run run(std::move(config));
+  const api::RunRecord record = run.execute();
+  const api::RunRecord::Configuration& c = record.config;
   std::printf("UnSNAP quickstart: %d^3 twisted hex mesh, order %d, "
               "%d groups, %d angles/octant\n",
-              nx, input.order, input.ng, input.nang);
+              nx, c.order, c.ng, c.nang);
   std::printf("  %d elements, %d nodes each; %d unique sweep schedules for "
               "%d directions\n",
-              disc.num_elements(), disc.num_nodes(),
-              disc.schedules().unique_count(),
-              angular::kOctants * input.nang);
+              c.elements, c.nodes_per_element, c.unique_schedules,
+              c.directions);
 
-  const auto solver = problem.make_solver();
-  const core::IterationResult result = solver->run();
+  const core::IterationResult& result = *record.iteration;
   std::printf("\n%s after %d inners / %d outers "
               "(last inner change %.2e)\n",
               result.converged ? "Converged" : "NOT converged",
@@ -69,12 +66,13 @@ int run(const Cli& cli) {
 
   // Per-group volume-average flux.
   std::printf("\ngroup   <phi> (volume average)\n");
+  const core::TransportSolver& solver = *run.solver();
   const std::vector<double> averages =
-      api::group_volume_averages(disc, solver->scalar_flux());
-  for (int g = 0; g < input.ng; ++g)
+      api::group_volume_averages(solver.discretization(), solver.scalar_flux());
+  for (int g = 0; g < c.ng; ++g)
     std::printf("  %2d    %.6f\n", g, averages[static_cast<std::size_t>(g)]);
 
-  const core::BalanceReport balance = solver->balance();
+  const core::BalanceReport& balance = *record.balance;
   std::printf("\nparticle balance:\n"
               "  source      %.6f\n  absorption  %.6f\n  leakage     %.6f\n"
               "  residual    %.2e (relative %.2e)\n",

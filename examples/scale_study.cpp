@@ -10,12 +10,8 @@
 
 #include <cstdio>
 
-#include "api/problem_builder.hpp"
-#include "api/report.hpp"
 #include "api/run.hpp"
 #include "api/scenario.hpp"
-#include "comm/distributed.hpp"
-#include "comm/scale_model.hpp"
 
 namespace {
 
@@ -54,22 +50,19 @@ int run(const Cli& cli) {
   const int nx = cli.get_int("verify_nx");
   std::printf("cross-check: real 2x2x2 pipelined solve on a %d^3 mesh\n",
               nx);
-  const snap::Input input =
-      api::ProblemBuilder()
-          .mesh({.dims = {nx, nx, nx}})
-          .angular({.nang = 2})
-          .materials({.num_groups = 1, .mat_opt = 1, .scattering_ratio = 0.5})
-          .source({.src_opt = 1})
-          .iteration({.epsi = 1e-6, .iitm = 50, .oitm = 4,
-                      .fixed_iterations = false})
-          .execution({.scheme = snap::ConcurrencyScheme::Serial,
-                      .num_threads = 1})
-          .decomposition({.px = 2, .py = 2, .pz = 2,
-                          .exchange = snap::SweepExchange::Pipelined})
-          .to_input();
-  comm::DistributedSweepSolver solver(input, 2, 2, 2);
-  const comm::DistributedSweepResult result = solver.run();
-  api::print_decomposition_report(solver, result);
+  api::RunConfig config;
+  config.mesh.dims = {nx, nx, nx};
+  config.angular.nang = 2;
+  config.materials = {.num_groups = 1, .mat_opt = 1, .scattering_ratio = 0.5};
+  config.source = {.src_opt = 1};
+  config.iteration = {.epsi = 1e-6, .iitm = 50, .oitm = 4,
+                      .fixed_iterations = false};
+  config.execution = {.scheme = snap::ConcurrencyScheme::Serial,
+                      .num_threads = 1};
+  config.decomposition = {.px = 2, .py = 2, .pz = 2,
+                          .exchange = snap::SweepExchange::Pipelined};
+  const api::RunRecord record = api::Run(std::move(config)).execute();
+  api::print_decomposition_report(*record.decomposition, *record.iteration);
 
   std::printf(
       "\nReading: efficiency falls as fill and drain grow with the rank\n"

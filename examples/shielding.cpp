@@ -1,9 +1,10 @@
 // Shielding scenario: a slab source, a dense shield of varying total cross
 // section, and a detector region behind it — the classic deep-penetration
 // configuration that motivates deterministic transport. Demonstrates the
-// declarative API's custom-material route (explicit cross sections plus
-// centroid material/source maps) and the shared-discretisation build for
-// parameter sweeps, and writes a VTK file of the attenuated flux.
+// declarative API's custom-material route (per-material sigt/scattering
+// lists plus centroid material/source region lists) and the shared
+// discretisation for parameter sweeps, and writes a VTK file of the
+// attenuated flux.
 //
 // Geometry (z axis):  [ source | shield | detector ]
 //                     0       1.0      1.8         3.0
@@ -14,8 +15,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "api/problem_builder.hpp"
 #include "api/report.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
 #include "io/vtk_writer.hpp"
 
@@ -23,27 +24,11 @@ namespace {
 
 using namespace unsnap;
 
-// Three "materials": near-void filler, source medium and shield.
-snap::CrossSections shield_xs(int ng, double shield_sigt) {
-  snap::CrossSections xs;
-  xs.num_materials = 3;
-  xs.ng = ng;
-  const auto nm = static_cast<std::size_t>(xs.num_materials);
-  const auto g_count = static_cast<std::size_t>(ng);
-  xs.sigt.resize({nm, g_count});
-  xs.sigs.resize({nm, g_count});
-  xs.siga.resize({nm, g_count});
-  xs.slgg.resize({nm, g_count, g_count}, 0.0);
-  const double sigt[3] = {0.05, 1.0, shield_sigt};
-  const double ratio[3] = {0.1, 0.5, 0.2};  // shields absorb, not scatter
-  for (int m = 0; m < 3; ++m)
-    for (int g = 0; g < ng; ++g) {
-      xs.sigt(m, g) = sigt[m];
-      xs.sigs(m, g) = ratio[m] * sigt[m];
-      xs.siga(m, g) = xs.sigt(m, g) - xs.sigs(m, g);
-      xs.slgg(m, g, g) = xs.sigs(m, g);  // isotropic in-group only
-    }
-  return xs;
+// Every centroid with z below `z`: the deck's `-inf inf -inf inf -inf z`.
+api::Box below_z(double z) {
+  api::Box box;
+  box.hi[2] = z;
+  return box;
 }
 
 void declare_options(Cli& cli) {
@@ -55,62 +40,60 @@ void declare_options(Cli& cli) {
 }
 
 int run(const Cli& cli) {
-  const int ng = 2;
-  api::ProblemBuilder builder;
-  builder
-      .mesh({.dims = {cli.get_int("nx"), cli.get_int("nx"),
-                      cli.get_int("nz")},
-             .extent = {1.0, 1.0, 3.0},
-             .twist = 0.001,
-             .shuffle_seed = 7,
-             .order = cli.get_int("order")})
-      .angular({.nang = cli.get_int("nang"),
-                .quadrature = angular::QuadratureKind::Product})
-      .source({.profile = [](const fem::Vec3& c, int) {
-        return c[2] < 1.0 ? 1.0 : 0.0;  // source medium only
-      }})
-      .iteration({.epsi = 1e-6,
-                  .iitm = 200,
-                  .oitm = 5,
-                  .fixed_iterations = false});
-  const auto material_map = [](const fem::Vec3& c) {
-    if (c[2] < 1.0) return 1;  // source medium
-    if (c[2] < 1.8) return 2;  // shield
-    return 0;                  // filler / detector
-  };
+  api::RunConfig config;
+  config.mesh = {.dims = {cli.get_int("nx"), cli.get_int("nx"),
+                          cli.get_int("nz")},
+                 .extent = {1.0, 1.0, 3.0},
+                 .twist = 0.001,
+                 .shuffle_seed = 7,
+                 .order = cli.get_int("order")};
+  config.angular = {.nang = cli.get_int("nang"),
+                    .quadrature = angular::QuadratureKind::Product};
+  // Three materials: near-void filler (0), source medium (1) and shield
+  // (2); the shield's sigt is the swept parameter. Shields absorb, not
+  // scatter.
+  config.materials = {.num_groups = 2,
+                      .scattering = {0.1, 0.5, 0.2},
+                      .default_material = 0,
+                      .regions = {{.material = 1, .box = below_z(1.0)},
+                                  {.material = 2, .box = below_z(1.8)}}};
+  config.source = {.regions = {{.strength = 1.0, .box = below_z(1.0)}}};
+  config.iteration = {.epsi = 1e-6,
+                      .iitm = 200,
+                      .oitm = 5,
+                      .fixed_iterations = false};
 
   std::printf("Shielding study: %dx%dx%d elements, order %d\n",
               cli.get_int("nx"), cli.get_int("nx"), cli.get_int("nz"),
               cli.get_int("order"));
   std::printf("\nshield sigt   detector <phi>   attenuation vs no shield\n");
 
-  // The mesh/schedules are shared across the sigt sweep: the first build
-  // creates the discretisation, the rest reuse it.
+  // The mesh/schedules are shared across the sigt sweep: the first run
+  // builds the discretisation, the rest reuse it.
   std::shared_ptr<const core::Discretization> disc;
   double unshielded = -1.0;
   for (const double shield_sigt : {0.05, 1.0, 2.0, 4.0}) {
-    builder.materials({.cross_sections = shield_xs(ng, shield_sigt),
-                       .material_map = material_map});
-    const api::Problem problem = disc ? builder.build(disc) : builder.build();
-    if (!disc) disc = problem.discretization_ptr();
-
-    const auto solver = problem.make_solver();
-    solver->run();
+    config.materials.sigt = {0.05, 1.0, shield_sigt};
+    api::Run run(config);
+    if (disc) run.set_shared_discretization(disc);
+    (void)run.execute();
+    disc = run.shared_discretization();
+    const core::TransportSolver& solver = *run.solver();
 
     // Volume-average group-0 flux in the band directly behind the shield.
     const double detector = api::region_average_flux(
-        *disc, solver->scalar_flux(), 0,
+        *disc, solver.scalar_flux(), 0,
         [](const fem::Vec3& c) { return c[2] >= 1.8 && c[2] <= 2.3; });
     if (unshielded < 0.0) unshielded = detector;
     std::printf("  %6.2f      %.6e     %8.2fx\n", shield_sigt, detector,
                 unshielded / detector);
 
     if (shield_sigt == 4.0 && !cli.get("vtk").empty()) {
-      std::vector<double> mat_field(
-          problem.data().material.begin(), problem.data().material.end());
+      std::vector<double> mat_field(solver.problem().material.begin(),
+                                    solver.problem().material.end());
       io::write_vtk(cli.get("vtk"), disc->mesh(),
                     {{"flux_g0",
-                      io::cell_average_flux(*disc, solver->scalar_flux(), 0)},
+                      io::cell_average_flux(*disc, solver.scalar_flux(), 0)},
                      {"material", mat_field}});
       std::printf("  wrote %s\n", cli.get("vtk").c_str());
     }

@@ -5,9 +5,9 @@
 // through the mesh. Also prints the bucket-occupancy profile (the paper's
 // available element parallelism) and the schedule-dedup statistics.
 //
-// This scenario deliberately stays below the Problem layer: it only needs
-// mesh + quadrature + schedules, so it skips the element-integrals and
-// problem-data construction a full api::Problem would pay for.
+// This scenario deliberately stays below api::Run: it only needs mesh +
+// quadrature + schedules, so it skips the element-integrals and
+// problem-data construction a full run would pay for.
 
 #include <algorithm>
 #include <cstdio>

@@ -11,8 +11,8 @@
 
 #include <cstdio>
 
-#include "api/problem_builder.hpp"
 #include "api/report.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
 
 namespace {
@@ -37,33 +37,39 @@ void declare_options(Cli& cli) {
 
 int run(const Cli& cli) {
   const int nx = cli.get_int("nx");
-  const api::Problem problem =
-      api::ProblemBuilder()
-          .mesh({.dims = {nx, nx, cli.get_int("nz")},
+  const int nz = cli.get_int("nz");
+  api::RunConfig config;
+  config.mesh = {.dims = {nx, nx, nz},
                  .twist = cli.get_double("twist"),
                  .shuffle_seed = 11,
                  .cycle_strategy =
-                     sweep::cycle_strategy_from_string(cli.get("cycles"))})
-          .angular({.nang = cli.get_int("nang"),
-                    .quadrature = angular::QuadratureKind::Product})
-          .materials({.num_groups = cli.get_int("ng"),
+                     sweep::cycle_strategy_from_string(cli.get("cycles"))};
+  config.angular = {.nang = cli.get_int("nang"),
+                    .quadrature = angular::QuadratureKind::Product};
+  config.materials = {.num_groups = cli.get_int("ng"),
                       .mat_opt = 0,
-                      .scattering_ratio = cli.get_double("c")})
-          .source({.src_opt = 1})
-          .iteration({.epsi = cli.get_double("epsi"),
+                      .scattering_ratio = cli.get_double("c")};
+  config.source = {.src_opt = 1};
+  config.iteration = {.epsi = cli.get_double("epsi"),
                       .iitm = 100,
                       .oitm = 20,
-                      .fixed_iterations = false})
-          .execution({.scheme = snap::scheme_from_string(cli.get("scheme")),
-                      .num_threads = cli.get_int("threads")})
-          .build();
+                      .fixed_iterations = false};
+  config.execution = {.scheme = snap::scheme_from_string(cli.get("scheme")),
+                      .num_threads = cli.get_int("threads")};
 
+  api::Run run(std::move(config));
+  const api::RunRecord record = run.execute();
   std::printf("UnSNAP twisted: %.3g rad over %dx%dx%d hexes — the strongly "
               "twisted scenario space\n\n",
-              problem.input().twist, nx, nx, cli.get_int("nz"));
-  const auto solver = problem.make_solver();
-  const core::IterationResult result = solver->run();
-  api::print_standard_report(*solver, result);
+              run.config().mesh.twist, nx, nx, nz);
+  api::print_configuration(record.config);
+  std::printf("\n");
+  api::print_iteration_report(*record.iteration,
+                              run.config().execution.time_solve);
+  std::printf("\n");
+  api::print_schedule_report(*record.schedule);
+  std::printf("\n");
+  api::print_balance_report(*record.balance);
   return 0;
 }
 

@@ -6,7 +6,6 @@
 
 #include <cstdio>
 
-#include "api/problem_builder.hpp"
 #include "api/report.hpp"
 #include "api/run.hpp"
 #include "api/scenario.hpp"
@@ -59,41 +58,41 @@ int run(const Cli& cli) {
       cli.get_int("nz") > 0 ? cli.get_int("nz") : nx};
   const double lx = cli.get_double("lx");
 
-  api::ProblemBuilder builder;
-  builder
-      .mesh({.dims = dims,
-             .extent = {lx, lx * dims[1] / dims[0], lx * dims[2] / dims[0]},
-             .twist = cli.get_double("twist"),
-             .shuffle_seed = static_cast<std::uint64_t>(cli.get_long("seed")),
-             .order = cli.get_int("order"),
-             .validate = cli.get_flag("validate"),
-             .cycle_strategy =
-                 sweep::cycle_strategy_from_string(cli.get("cycles"))})
-      .angular({.nang = cli.get_int("nang"),
-                .quadrature = angular::quadrature_from_string(cli.get("quad")),
-                .nmom = cli.get_int("nmom")})
-      .materials({.num_groups = cli.get_int("ng"),
-                  .mat_opt = cli.get_int("mat"),
-                  .scattering_ratio = cli.get_double("c")})
-      .source({.src_opt = cli.get_int("src")})
-      .iteration({.epsi = cli.get_double("epsi"),
-                  .iitm = cli.get_int("iitm"),
-                  .oitm = cli.get_int("oitm"),
-                  .fixed_iterations = !cli.get_flag("converge"),
-                  .scheme =
-                      snap::iteration_scheme_from_string(cli.get("inners")),
-                  .gmres_restart = cli.get_int("gmres-restart"),
-                  .gmres_max_iters = cli.get_int("gmres-iters")})
-      .execution({.layout = snap::layout_from_string(cli.get("layout")),
-                  .scheme = snap::scheme_from_string(cli.get("scheme")),
-                  .solver = linalg::solver_from_string(cli.get("solver")),
-                  .num_threads = cli.get_int("threads"),
-                  .time_solve = cli.get_flag("time-solve")});
+  api::RunConfig config;
+  config.mesh = {
+      .dims = dims,
+      .extent = {lx, lx * dims[1] / dims[0], lx * dims[2] / dims[0]},
+      .twist = cli.get_double("twist"),
+      .shuffle_seed = static_cast<std::uint64_t>(cli.get_long("seed")),
+      .order = cli.get_int("order"),
+      .validate = cli.get_flag("validate"),
+      .cycle_strategy = sweep::cycle_strategy_from_string(cli.get("cycles"))};
+  config.angular = {
+      .nang = cli.get_int("nang"),
+      .quadrature = angular::quadrature_from_string(cli.get("quad")),
+      .nmom = cli.get_int("nmom")};
+  config.materials = {.num_groups = cli.get_int("ng"),
+                      .mat_opt = cli.get_int("mat"),
+                      .scattering_ratio = cli.get_double("c")};
+  config.source = {.src_opt = cli.get_int("src")};
+  config.iteration = {
+      .epsi = cli.get_double("epsi"),
+      .iitm = cli.get_int("iitm"),
+      .oitm = cli.get_int("oitm"),
+      .fixed_iterations = !cli.get_flag("converge"),
+      .scheme = snap::iteration_scheme_from_string(cli.get("inners")),
+      .gmres_restart = cli.get_int("gmres-restart"),
+      .gmres_max_iters = cli.get_int("gmres-iters")};
+  config.execution = {.layout = snap::layout_from_string(cli.get("layout")),
+                      .scheme = snap::scheme_from_string(cli.get("scheme")),
+                      .solver = linalg::solver_from_string(cli.get("solver")),
+                      .num_threads = cli.get_int("threads"),
+                      .time_solve = cli.get_flag("time-solve")};
   if (cli.get_flag("reflect"))
-    builder.all_boundaries(snap::Input::Bc::Reflective);
+    config.boundary.sides.fill(snap::Input::Bc::Reflective);
 
-  const api::Problem problem = builder.build();
-  const snap::Input& input = problem.input();
+  api::Run run(std::move(config));
+  const snap::Input input = run.config().to_input();
   std::printf("UnSNAP  %dx%dx%d hexes, order %d (%d nodes/elem), "
               "%d angles/octant x 8, %d groups, nmom %d\n",
               input.dims[0], input.dims[1], input.dims[2], input.order,
@@ -106,27 +105,27 @@ int run(const Cli& cli) {
               linalg::to_string(input.solver).c_str(), input.twist,
               static_cast<unsigned long long>(input.shuffle_seed));
 
-  const auto solver = problem.make_solver();
-  const auto& disc = solver->discretization();
+  // Verbose progress hangs off the solver's iteration events (the
+  // core::IterationObserver seam) instead of a printf path inside run().
+  api::ProgressObserver progress;
+  if (cli.get_flag("verbose")) run.set_observer(&progress);
+  const api::RunRecord record = run.execute();
+
+  const core::TransportSolver& solver = *run.solver();
+  const auto& disc = solver.discretization();
   std::printf("        %d unique sweep schedules for %d directions; "
               "integrals %.1f MB; psi %.1f MB\n",
               disc.schedules().unique_count(),
               angular::kOctants * input.nang,
               static_cast<double>(disc.integrals().bytes()) / (1 << 20),
-              static_cast<double>(solver->angular_flux().size() *
+              static_cast<double>(solver.angular_flux().size() *
                                   sizeof(double)) /
                   (1 << 20));
 
-  // Verbose progress hangs off the solver's iteration events (the
-  // api::IterationObserver seam) instead of a printf path inside run().
-  api::ProgressObserver progress;
-  if (cli.get_flag("verbose")) solver->set_observer(&progress);
-  const core::IterationResult result = solver->run();
-
   std::printf("\n");
-  api::print_iteration_report(result, input.time_solve);
+  api::print_iteration_report(*record.iteration, input.time_solve);
   std::printf("\n");
-  api::print_balance_report(solver->balance());
+  api::print_balance_report(*record.balance);
   return 0;
 }
 

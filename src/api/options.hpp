@@ -2,24 +2,20 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 
 #include "angular/quadrature.hpp"
-#include "fem/geometry.hpp"
 #include "linalg/solver.hpp"
-#include "snap/data.hpp"
 #include "snap/input.hpp"
 #include "sweep/scc.hpp"
 
 namespace unsnap::api {
 
 /// The declarative problem-definition vocabulary: one small struct per
-/// concern, composed by ProblemBuilder instead of filled into the flat
-/// snap::Input deck. Every struct is a plain aggregate with the same
-/// defaults as the corresponding Input fields, so
-/// `builder.mesh({.dims = {16, 16, 16}})` perturbs exactly one knob.
+/// concern, aggregated by api::RunConfig (run_config.hpp) instead of
+/// filled into the flat snap::Input deck. Every struct is a plain
+/// aggregate with the same defaults as the corresponding Input fields, so
+/// `config.mesh = {.dims = {16, 16, 16}}` perturbs exactly one knob.
 
 /// Spatial mesh: the twisted, shuffled brick of the paper plus the
 /// schedule-construction controls that depend on the mesh alone.
@@ -47,30 +43,8 @@ struct AngularSpec {
   [[nodiscard]] bool operator==(const AngularSpec&) const = default;
 };
 
-/// Materials and cross sections. Two routes:
-///  - generated: SNAP's mat_opt/scattering_ratio artificial data (default);
-///  - custom: explicit CrossSections plus a material id per element
-///    centroid, for bespoke geometries (shields, ducts, ...).
-/// Setting `cross_sections` switches to the custom route; `material_map`
-/// then assigns a material id to every element by centroid (defaults to
-/// material 0 everywhere).
-struct MaterialSpec {
-  int num_groups = 4;  // SNAP's ng (ignored when cross_sections is set)
-  int mat_opt = 1;
-  double scattering_ratio = 0.5;
-  std::optional<snap::CrossSections> cross_sections;
-  std::function<int(const fem::Vec3& centroid)> material_map;
-};
-
-/// Volumetric external source. Either SNAP's src_opt placement or a custom
-/// per-centroid, per-group strength profile (constant within the element).
-struct SourceSpec {
-  int src_opt = 1;
-  std::function<double(const fem::Vec3& centroid, int group)> profile;
-};
-
-/// Boundary conditions per domain side, addressed by name ("-x", "+x",
-/// "-y", "+y", "-z", "+z") through the builder.
+/// Boundary conditions per domain side (deck keys "-x", "+x", "-y",
+/// "+y", "-z", "+z"; see side_from_string).
 struct BoundarySpec {
   using Bc = snap::Input::Bc;
   std::array<Bc, 6> sides{Bc::Vacuum, Bc::Vacuum, Bc::Vacuum,

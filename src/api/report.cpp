@@ -1,20 +1,9 @@
 #include "api/report.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
-#include "api/run.hpp"
-
 namespace unsnap::api {
-
-// The solver-shaped entry points are adapters: they build the matching
-// RunRecord fragment and hand it to the pure renderers in run.cpp, so a
-// printed report and a serialised record can never drift apart.
-
-void print_configuration(const core::TransportSolver& solver) {
-  print_configuration(make_configuration(solver));
-}
 
 double sweeps_per_digit(const core::IterationResult& result) {
   // Measured on the inner change history for both schemes: it is the one
@@ -95,30 +84,6 @@ void print_balance_report(const core::BalanceReport& balance,
                   balance.group_absorption[i], balance.group_leakage[i]);
     }
   }
-}
-
-void print_schedule_report(const core::TransportSolver& solver) {
-  print_schedule_report(make_schedule_stats(solver));
-}
-
-void print_decomposition_report(const comm::DistributedSweepSolver& solver,
-                                const comm::DistributedSweepResult& result) {
-  const mesh::Partition& part = solver.partition();
-  print_decomposition_report(
-      make_decomposition_stats(part.px, part.py, part.pz, solver.exchange(),
-                               result),
-      to_iteration_result(result));
-}
-
-void print_standard_report(const core::TransportSolver& solver,
-                           const core::IterationResult& result) {
-  print_configuration(solver);
-  std::printf("\n");
-  print_iteration_report(result, solver.input().time_solve);
-  std::printf("\n");
-  print_schedule_report(solver);
-  std::printf("\n");
-  print_balance_report(solver.balance());
 }
 
 std::vector<double> group_volume_averages(const core::Discretization& disc,

@@ -4,20 +4,18 @@
 #include <functional>
 #include <vector>
 
-#include "comm/distributed.hpp"
 #include "core/transport_solver.hpp"
 
 namespace unsnap::api {
 
-/// Shared post-solve reporting: configuration, iteration outcome, timing
-/// and the particle-balance audit in one format, plus the flux-summary
-/// diagnostics the scenarios share. Scenarios with a legacy output
-/// contract (quickstart's byte-for-byte comparison with the pre-API
-/// example) keep their own printf blocks; everything else should use
-/// these so the numbers stay comparable across scenarios.
-
-/// One line summarising mesh/order/angles/groups and the execution config.
-void print_configuration(const core::TransportSolver& solver);
+/// Shared post-solve reporting: iteration outcome, timing and the
+/// particle-balance audit in one format, plus the flux-summary
+/// diagnostics the scenarios share. The configuration, schedule and
+/// decomposition blocks render from RunRecord data (run.hpp). Scenarios
+/// with a legacy output contract (quickstart's byte-for-byte comparison
+/// with the pre-API example) keep their own printf blocks; everything
+/// else should use these so the numbers stay comparable across
+/// scenarios.
 
 /// Convergence state, iteration counts and wall/sweep timings; under the
 /// gmres scheme also the Krylov iteration count, final relative residual
@@ -40,26 +38,6 @@ void print_iteration_report(const core::IterationResult& result,
 /// Source / absorption / leakage / residual block.
 void print_balance_report(const core::BalanceReport& balance,
                           std::FILE* out = stdout);
-
-/// Sweep-schedule block: unique schedules, wavefront/bucket occupancy,
-/// cycle-broken (lagged) faces and the modelled parallel efficiency of
-/// element threading at the configured thread count. This is how a
-/// scenario reads whether its mesh/twist exposes enough bucket
-/// parallelism for the threaded schemes to pay off.
-void print_schedule_report(const core::TransportSolver& solver);
-
-/// All four in order (the default scenario epilogue).
-void print_standard_report(const core::TransportSolver& solver,
-                           const core::IterationResult& result);
-
-/// Distributed-sweep block: rank grid and exchange discipline, iteration
-/// outcome, and — for the pipelined exchange — the per-octant pipeline
-/// depth, cycle-broken rank edges, modelled pipeline efficiency and the
-/// measured per-rank idle fractions (time blocked at the halo boundary /
-/// total). This is how a decomposition study reads whether its sweep time
-/// went into fill/drain idling or useful work.
-void print_decomposition_report(const comm::DistributedSweepSolver& solver,
-                                const comm::DistributedSweepResult& result);
 
 /// Volume-average scalar flux per group — the quickstart's summary table.
 [[nodiscard]] std::vector<double> group_volume_averages(

@@ -101,8 +101,7 @@ RunRecord::FluxDigest finish_digest(const std::vector<double>& integrals,
   return digest;
 }
 
-}  // namespace
-
+/// Fold a distributed result into the shared iteration vocabulary.
 core::IterationResult to_iteration_result(
     const comm::DistributedSweepResult& r) {
   core::IterationResult out;
@@ -145,6 +144,39 @@ RunRecord::DecompositionStats make_decomposition_stats(
   return stats;
 }
 
+RunRecord::Configuration make_configuration(
+    const core::TransportSolver& solver) {
+  RunRecord::Configuration c =
+      make_configuration_from(solver.input(), &solver.discretization());
+  // Report the operator actually live on the solver (built or injected),
+  // not just the deck's request — mode plus the storage footprint.
+  if (const core::PreassembledOperator* pre = solver.preassembly()) {
+    c.preassembly = core::PreassembledOperator::to_string(pre->mode());
+    c.preassembly_bytes = pre->bytes();
+  }
+  return c;
+}
+
+RunRecord::ScheduleStats make_schedule_stats(
+    const core::TransportSolver& solver) {
+  return make_schedule_stats_from(
+      solver.discretization().schedules(), solver.input().num_threads,
+      angular::kOctants * solver.input().nang);
+}
+
+RunRecord::FluxDigest make_flux_digest(const core::Discretization& disc,
+                                       const core::NodalField& phi) {
+  std::vector<double> integrals(
+      static_cast<std::size_t>(phi.num_groups()), 0.0);
+  double volume = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+  accumulate_digest(disc, phi, integrals, volume, min, max);
+  return finish_digest(integrals, volume, min, max);
+}
+
+}  // namespace
+
 RunRecord::ScaleStats make_scale_stats(int px, int py, int pz,
                                        double rank_work, double hop_latency) {
   RunRecord::ScaleStats stats;
@@ -178,37 +210,6 @@ RunRecord::ScaleStats make_scale_stats(int px, int py, int pz,
     stats.orderings.push_back(o);
   }
   return stats;
-}
-
-RunRecord::Configuration make_configuration(
-    const core::TransportSolver& solver) {
-  RunRecord::Configuration c =
-      make_configuration_from(solver.input(), &solver.discretization());
-  // Report the operator actually live on the solver (built or injected),
-  // not just the deck's request — mode plus the storage footprint.
-  if (const core::PreassembledOperator* pre = solver.preassembly()) {
-    c.preassembly = core::PreassembledOperator::to_string(pre->mode());
-    c.preassembly_bytes = pre->bytes();
-  }
-  return c;
-}
-
-RunRecord::ScheduleStats make_schedule_stats(
-    const core::TransportSolver& solver) {
-  return make_schedule_stats_from(
-      solver.discretization().schedules(), solver.input().num_threads,
-      angular::kOctants * solver.input().nang);
-}
-
-RunRecord::FluxDigest make_flux_digest(const core::Discretization& disc,
-                                       const core::NodalField& phi) {
-  std::vector<double> integrals(
-      static_cast<std::size_t>(phi.num_groups()), 0.0);
-  double volume = 0.0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  accumulate_digest(disc, phi, integrals, volume, min, max);
-  return finish_digest(integrals, volume, min, max);
 }
 
 // --- Run ------------------------------------------------------------------
@@ -250,7 +251,7 @@ RunRecord Run::execute() {
     case RunMode::Schedule:
       record = execute_schedule(std::move(record));
       break;
-    case RunMode::Mms: record = execute_mms(std::move(record)); break;
+    case RunMode::Mms: record = execute_solve(std::move(record)); break;
     case RunMode::Time: record = execute_time(std::move(record)); break;
     case RunMode::Keff: record = execute_keff(std::move(record)); break;
   }
@@ -265,19 +266,46 @@ RunRecord Run::execute() {
   return record;
 }
 
-RunRecord Run::execute_solve(RunRecord record) {
-  {
-    OBS_SPAN("run.lower");
-    problem_.emplace(shared_disc_ ? config_.builder().build(shared_disc_)
-                                  : config_.builder().build());
-    shared_disc_ = problem_->discretization_ptr();
-    solver_ = problem_->make_solver();
+Run::Lowered Run::lower() {
+  OBS_SPAN("run.lower");
+  Lowered out{config_.to_input(), std::nullopt};
+  const snap::Input& input = out.input;
+  // Pin first: the discretisation's element integrals are an OpenMP loop,
+  // and on a fresh thread (a daemon worker) they would otherwise run at
+  // the OpenMP default instead of the deck's thread count.
+  if (input.num_threads > 0) omp_set_num_threads(input.num_threads);
+  if (shared_disc_) {
+    const core::Discretization& disc = *shared_disc_;
+    require(disc.ref().order() == input.order,
+            "run: shared discretization order does not match [mesh] order");
+    // Extent/twist/shuffle are not recoverable from the built mesh, but
+    // the grid dims are: catch a resized deck over a stale discretisation.
+    require(disc.mesh().grid_dims() == input.dims,
+            "run: shared discretization grid dims do not match [mesh] dims");
+    require(disc.nang() == input.nang &&
+                disc.quadrature().kind() == input.quadrature,
+            "run: shared discretization quadrature does not match "
+            "[angular]");
+  } else {
+    shared_disc_ = std::make_shared<const core::Discretization>(input);
   }
+  if (config_.mode != RunMode::Schedule)
+    out.data.emplace(config_.problem_data(*shared_disc_));
+  return out;
+}
+
+RunRecord Run::execute_solve(RunRecord record) {
+  Lowered lowered = lower();
+  solver_ = std::make_unique<core::TransportSolver>(
+      shared_disc_, lowered.input, std::move(*lowered.data));
   {
     OBS_SPAN("run.preassembly");
     configure_preassembly(*solver_);
   }
   solver_->set_observer(observer_);
+  const bool mms = config_.mode == RunMode::Mms;
+  const auto ms = core::ManufacturedSolution::trigonometric();
+  if (mms) core::apply_manufactured(*solver_, ms);
   record.config = make_configuration(*solver_);
   record.schedule = make_schedule_stats(*solver_);
   {
@@ -287,11 +315,12 @@ RunRecord Run::execute_solve(RunRecord record) {
   record.balance = solver_->balance();
   record.flux =
       make_flux_digest(solver_->discretization(), solver_->scalar_flux());
+  if (mms) record.mms_l2_error = core::l2_error(*solver_, ms);
   return record;
 }
 
 RunRecord Run::execute_distributed(RunRecord record) {
-  const snap::Input input = config_.builder().to_input();
+  const snap::Input input = config_.to_input();
   const int px = config_.decomposition.px, py = config_.decomposition.py,
             pz = config_.decomposition.pz;
   distributed_ =
@@ -326,21 +355,10 @@ RunRecord Run::execute_distributed(RunRecord record) {
 }
 
 RunRecord Run::execute_schedule(RunRecord record) {
-  // Materials/sources are irrelevant to schedule structure; lower a
-  // generated-route copy of the config so custom regions never block a
-  // schedule study.
-  RunConfig plain = config_;
-  plain.materials = MaterialModel{};
-  plain.materials.num_groups = config_.materials.num_groups;
-  plain.source = SourceModel{};
-  const snap::Input input = plain.builder().to_input();
-  const auto disc = shared_disc_
-                        ? shared_disc_
-                        : std::make_shared<const core::Discretization>(input);
-  shared_disc_ = disc;
-  record.config = make_configuration_from(input, disc.get());
+  const snap::Input input = lower().input;
+  record.config = make_configuration_from(input, shared_disc_.get());
   record.schedule = make_schedule_stats_from(
-      disc->schedules(), input.num_threads,
+      shared_disc_->schedules(), input.num_threads,
       angular::kOctants * input.nang);
   // A decomposed schedule study additionally evaluates the virtual-rank
   // pipeline model: fill/drain/occupancy on the deck's px*py*pz grid,
@@ -355,62 +373,17 @@ RunRecord Run::execute_schedule(RunRecord record) {
   return record;
 }
 
-RunRecord Run::execute_mms(RunRecord record) {
-  {
-    OBS_SPAN("run.lower");
-    problem_.emplace(shared_disc_ ? config_.builder().build(shared_disc_)
-                                  : config_.builder().build());
-    shared_disc_ = problem_->discretization_ptr();
-    solver_ = problem_->make_solver();
-  }
-  {
-    OBS_SPAN("run.preassembly");
-    configure_preassembly(*solver_);
-  }
-  solver_->set_observer(observer_);
-  const auto ms = core::ManufacturedSolution::trigonometric();
-  core::apply_manufactured(*solver_, ms);
-  record.config = make_configuration(*solver_);
-  record.schedule = make_schedule_stats(*solver_);
-  {
-    OBS_SPAN("run.solve");
-    record.iteration = solver_->run();
-  }
-  record.balance = solver_->balance();
-  record.flux =
-      make_flux_digest(solver_->discretization(), solver_->scalar_flux());
-  record.mms_l2_error = core::l2_error(*solver_, ms);
-  return record;
-}
-
 RunRecord Run::execute_time(RunRecord record) {
-  OBS_SPAN("run.solve");
-  if (config_.xs.active()) {
-    // Library route: the lowered ProblemData carries the library's cross
-    // sections; the library's group velocities replace the generated ones.
-    {
-      OBS_SPAN("run.lower");
-      problem_.emplace(shared_disc_ ? config_.builder().build(shared_disc_)
-                                    : config_.builder().build());
-      shared_disc_ = problem_->discretization_ptr();
-    }
-    const xs::Library lib = xs::read_library_file(config_.xs.file);
-    time_solver_ = std::make_unique<core::TimeDependentSolver>(
-        shared_disc_, problem_->input(), problem_->data(), lib.velocity,
-        config_.time.dt);
-  } else {
-    const snap::Input input = config_.builder().to_input();
-    const auto disc = [&] {
-      OBS_SPAN("run.lower");
-      return shared_disc_
-                 ? shared_disc_
-                 : std::make_shared<const core::Discretization>(input);
-    }();
-    shared_disc_ = disc;
-    time_solver_ = std::make_unique<core::TimeDependentSolver>(
-        disc, input, core::TimeDependentSolver::snap_velocities(input.ng),
-        config_.time.dt);
-  }
+  Lowered lowered = lower();
+  // Library decks carry their own group speeds; generated data pairs with
+  // SNAP's.
+  std::vector<double> velocities =
+      config_.xs.active()
+          ? xs::read_library_file(config_.xs.file).velocity
+          : core::TimeDependentSolver::snap_velocities(lowered.input.ng);
+  time_solver_ = std::make_unique<core::TimeDependentSolver>(
+      shared_disc_, lowered.input, *lowered.data, std::move(velocities),
+      config_.time.dt);
   core::TransportSolver& inner = time_solver_->solver();
   // Valid after construction only: the TimeDependentSolver ctor has
   // already folded 1/(v dt) into sigma_t, and the matrices stay constant
@@ -428,19 +401,22 @@ RunRecord Run::execute_time(RunRecord record) {
   record.initial_density = time_solver_->total_density();
 
   core::IterationResult folded;
-  for (int n = 0; n < config_.time.steps; ++n) {
-    const core::TimeDependentSolver::StepResult step = time_solver_->step();
-    record.steps.push_back(
-        {step.time, step.total_density, step.iteration.inners});
-    folded.converged = step.iteration.converged;
-    folded.outers += step.iteration.outers;
-    folded.inners += step.iteration.inners;
-    folded.sweeps += step.iteration.sweeps;
-    folded.final_inner_change = step.iteration.final_inner_change;
-    folded.final_outer_change = step.iteration.final_outer_change;
-    folded.total_seconds += step.iteration.total_seconds;
-    folded.assemble_solve_seconds = step.iteration.assemble_solve_seconds;
-    folded.solve_seconds = step.iteration.solve_seconds;
+  {
+    OBS_SPAN("run.solve");
+    for (int n = 0; n < config_.time.steps; ++n) {
+      const core::TimeDependentSolver::StepResult step = time_solver_->step();
+      record.steps.push_back(
+          {step.time, step.total_density, step.iteration.inners});
+      folded.converged = step.iteration.converged;
+      folded.outers += step.iteration.outers;
+      folded.inners += step.iteration.inners;
+      folded.sweeps += step.iteration.sweeps;
+      folded.final_inner_change = step.iteration.final_inner_change;
+      folded.final_outer_change = step.iteration.final_outer_change;
+      folded.total_seconds += step.iteration.total_seconds;
+      folded.assemble_solve_seconds = step.iteration.assemble_solve_seconds;
+      folded.solve_seconds = step.iteration.solve_seconds;
+    }
   }
   record.iteration = std::move(folded);
   record.flux =
@@ -449,22 +425,17 @@ RunRecord Run::execute_time(RunRecord record) {
 }
 
 RunRecord Run::execute_keff(RunRecord record) {
-  {
-    OBS_SPAN("run.lower");
-    problem_.emplace(shared_disc_ ? config_.builder().build(shared_disc_)
-                                  : config_.builder().build());
-    shared_disc_ = problem_->discretization_ptr();
-  }
+  const Lowered lowered = lower();
+  const snap::Input& input = lowered.input;
   xs::KeffOptions options;
   if (!config_.xs.groupsets.empty())
-    options.groupsets =
-        xs::parse_groupsets(config_.xs.groupsets, problem_->input().ng);
+    options.groupsets = xs::parse_groupsets(config_.xs.groupsets, input.ng);
   options.k_tol = config_.xs.k_tol;
   options.fission_tol = config_.xs.fission_tol;
   options.max_outers = config_.xs.max_outers;
   options.extrapolate = config_.xs.extrapolate;
-  keff_ = std::make_unique<xs::KeffSolver>(shared_disc_, problem_->input(),
-                                           problem_->data(), options);
+  keff_ = std::make_unique<xs::KeffSolver>(shared_disc_, input,
+                                           *lowered.data, options);
   keff_->set_observer(observer_);
   // The serve layer's single-slot operator cache holds one global
   // operator; the per-groupset operators here are built fresh per run.
@@ -479,16 +450,15 @@ RunRecord Run::execute_keff(RunRecord record) {
 
   // The groupset solvers each span only their own groups; the config line
   // reports the global problem and the summed preassembly footprint.
-  record.config =
-      make_configuration_from(problem_->input(), shared_disc_.get());
+  record.config = make_configuration_from(input, shared_disc_.get());
   if (config_.execution.preassembly != snap::PreassemblyMode::None) {
     record.config.preassembly =
         snap::to_string(config_.execution.preassembly);
     record.config.preassembly_bytes = keff_->preassembly_bytes();
   }
   record.schedule = make_schedule_stats_from(
-      shared_disc_->schedules(), problem_->input().num_threads,
-      angular::kOctants * problem_->input().nang);
+      shared_disc_->schedules(), input.num_threads,
+      angular::kOctants * input.nang);
 
   xs::KeffResult result;
   {

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "api/problem.hpp"
 #include "api/run_config.hpp"
 #include "api/version.hpp"
 #include "comm/distributed.hpp"
@@ -159,24 +158,10 @@ struct RunRecord {
 /// tools/check_run_json.py).
 [[nodiscard]] std::string to_json(const RunRecord& record);
 
-// --- record builders (shared with the report adapters) --------------------
-
-[[nodiscard]] RunRecord::Configuration make_configuration(
-    const core::TransportSolver& solver);
-[[nodiscard]] RunRecord::ScheduleStats make_schedule_stats(
-    const core::TransportSolver& solver);
-[[nodiscard]] RunRecord::FluxDigest make_flux_digest(
-    const core::Discretization& disc, const core::NodalField& phi);
-[[nodiscard]] RunRecord::DecompositionStats make_decomposition_stats(
-    int px, int py, int pz, snap::SweepExchange exchange,
-    const comm::DistributedSweepResult& result);
 /// Evaluate the virtual-rank scale model for both octant orderings.
 [[nodiscard]] RunRecord::ScaleStats make_scale_stats(int px, int py, int pz,
                                                      double rank_work,
                                                      double hop_latency);
-/// Fold a distributed result into the shared iteration vocabulary.
-[[nodiscard]] core::IterationResult to_iteration_result(
-    const comm::DistributedSweepResult& result);
 
 // --- renderers over record data -------------------------------------------
 
@@ -242,10 +227,11 @@ class Run {
 
   /// Share a prebuilt discretisation (mesh + integrals + quadrature +
   /// sweep schedules) instead of lowering one from the config — the
-  /// serve layer's problem cache injects here on a deck-digest hit. Must
-  /// describe the same mesh/angular/cycle configuration as the config
-  /// (builder().build(disc) asserts compatibility). Single-domain modes
-  /// only; distributed runs build per-rank discretisations and ignore it.
+  /// serve layer's problem cache and parameter-sweep scenarios inject
+  /// here. Must describe the same order, grid dims, nang and quadrature
+  /// as the config; execute() throws InvalidInput otherwise. Single-domain
+  /// modes only; distributed runs build per-rank discretisations and
+  /// ignore it.
   void set_shared_discretization(
       std::shared_ptr<const core::Discretization> disc) {
     shared_disc_ = std::move(disc);
@@ -281,7 +267,6 @@ class Run {
   RunRecord execute();
 
   // --- post-execute state, mode-dependent (nullptr where not built) ----
-  [[nodiscard]] const Problem* problem() const { return problem_ ? &*problem_ : nullptr; }
   [[nodiscard]] const core::TransportSolver* solver() const {
     return solver_.get();
   }
@@ -300,21 +285,32 @@ class Run {
   core::IterationObserver* observer_ = nullptr;
   std::shared_ptr<const core::Discretization> shared_disc_;
   std::shared_ptr<const core::PreassembledOperator> shared_pre_;
-  std::optional<Problem> problem_;
   std::unique_ptr<core::TransportSolver> solver_;
   std::unique_ptr<comm::DistributedSweepSolver> distributed_;
   std::unique_ptr<core::TimeDependentSolver> time_solver_;
   std::unique_ptr<xs::KeffSolver> keff_;
+
+  /// What a single-domain mode lowers to. `data` is absent in schedule
+  /// mode, which reports structure only.
+  struct Lowered {
+    snap::Input input;
+    std::optional<core::ProblemData> data;
+  };
+
+  /// The lowering every single-domain mode starts with: pin the deck's
+  /// thread count (before the discretisation's threaded element
+  /// integrals), build the shared discretisation or check the injected
+  /// one against the deck, then build the problem data.
+  Lowered lower();
 
   /// Lower config_.execution.preassembly onto a built solver: reuse the
   /// injected shared operator when its mode matches, otherwise build one
   /// and keep the shared handle for post-execute harvesting.
   void configure_preassembly(core::TransportSolver& solver);
 
-  RunRecord execute_solve(RunRecord record);
+  RunRecord execute_solve(RunRecord record);  // solve and mms
   RunRecord execute_distributed(RunRecord record);
   RunRecord execute_schedule(RunRecord record);
-  RunRecord execute_mms(RunRecord record);
   RunRecord execute_time(RunRecord record);
   RunRecord execute_keff(RunRecord record);
 };

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/problem_data.hpp"
 #include "snap/deck.hpp"
 #include "util/assert.hpp"
 #include "util/threads.hpp"
@@ -66,6 +67,9 @@ void RunConfig::validate() const {
   // deck's source location (the binder wraps validate() failures). The
   // daemon reuses this same check against its worker thread budget.
   util::require_thread_budget(execution.num_threads, "execution: threads");
+  // Field ranges of the flat deck first: the cross-field rules below
+  // assume positive dims, group counts and orders.
+  to_input().validate();
   // The [xs] library is loaded once up front: the material-route, mode
   // and groupset checks below all need its shape.
   std::optional<libxs::Library> lib;
@@ -102,6 +106,11 @@ void RunConfig::validate() const {
     for (const double c : materials.scattering)
       require(c >= 0.0 && c < 1.0,
               "materials: scattering ratios must be in [0, 1)");
+    // The sigt route's cross sections are isotropic: one scattering order.
+    require(angular.nmom == 1,
+            "materials: custom cross sections carry 1 scattering orders but "
+            "the angular spec asks for " +
+                std::to_string(angular.nmom));
     require(materials.default_material >= 0 &&
                 materials.default_material < nm,
             "materials: default_material outside 0.." +
@@ -145,6 +154,9 @@ void RunConfig::validate() const {
                 " outside the " + std::to_string(materials.num_groups) +
                 " groups");
   const bool custom = materials.custom() || source.custom();
+  require(decomposition.px >= 1 && decomposition.py >= 1 &&
+              decomposition.pz >= 1,
+          "decomposition: px, py and pz must be positive");
   const int ranks = decomposition.ranks();
   // Reject over-decomposition here (not only in make_kba_partition) so a
   // deck gets a located "<file>: ..." message before any mesh is built.
@@ -198,53 +210,103 @@ void RunConfig::validate() const {
             "execution: preassembly requires a single-domain run "
             "(decomposition px * py * pz == 1)");
   }
-  // The per-spec (setter) and cross-spec checks of the builder layer.
-  builder().validate();
 }
 
-ProblemBuilder RunConfig::builder() const {
-  ProblemBuilder b;
-  b.mesh(mesh).angular(angular).boundaries(boundary).iteration(iteration);
-  b.execution(execution).decomposition(decomposition);
+snap::Input RunConfig::to_input() const {
+  snap::Input input;
+  input.dims = mesh.dims;
+  input.extent = mesh.extent;
+  input.twist = mesh.twist;
+  input.shuffle_seed = mesh.shuffle_seed;
+  input.order = mesh.order;
+  input.validate_mesh = mesh.validate;
+  input.cycle_strategy = mesh.cycle_strategy;
+  input.nang = angular.nang;
+  input.quadrature = angular.quadrature;
+  input.nmom = angular.nmom;
+  input.ng = materials.num_groups;
+  input.mat_opt = materials.mat_opt;
+  input.scattering_ratio = materials.scattering_ratio;
+  input.src_opt = source.src_opt;
+  input.boundary = boundary.sides;
+  input.epsi = iteration.epsi;
+  input.iitm = iteration.iitm;
+  input.oitm = iteration.oitm;
+  input.fixed_iterations = iteration.fixed_iterations;
+  input.iteration_scheme = iteration.scheme;
+  input.gmres_restart = iteration.gmres_restart;
+  input.gmres_max_iters = iteration.gmres_max_iters;
+  input.layout = execution.layout;
+  input.scheme = execution.scheme;
+  input.solver = execution.solver;
+  input.num_threads = execution.num_threads;
+  input.preassembly = execution.preassembly;
+  input.time_solve = execution.time_solve;
+  input.sweep_exchange = decomposition.exchange;
+  return input;
+}
 
-  MaterialSpec mat;
-  mat.num_groups = materials.num_groups;
-  mat.mat_opt = materials.mat_opt;
-  mat.scattering_ratio = materials.scattering_ratio;
-  if (materials.custom()) {
-    mat.cross_sections = materials.cross_sections();
-    const MaterialModel model = materials;  // owned copy for the closure
-    mat.material_map = [model](const fem::Vec3& c) {
-      for (const MaterialRegion& r : model.regions)
-        if (r.box.contains(c)) return r.material;
-      return model.default_material;
-    };
-  } else if (xs.active()) {
-    const libxs::Library lib = libxs::read_library_file(xs.file);
-    mat.cross_sections =
-        lib.cross_sections(materials.material_names, angular.nmom);
-    const MaterialModel model = materials;
-    mat.material_map = [model](const fem::Vec3& c) {
-      for (const MaterialRegion& r : model.regions)
-        if (r.box.contains(c)) return r.material;
-      return model.default_material;
-    };
+namespace {
+
+/// Material id of the first region containing `centroid`, else the
+/// default material (the sigt and library routes).
+int material_at(const MaterialModel& model, const fem::Vec3& centroid) {
+  for (const MaterialRegion& r : model.regions)
+    if (r.box.contains(centroid)) return r.material;
+  return model.default_material;
+}
+
+/// Strength of the first region containing `centroid` that applies to
+/// `group`, else 0.
+double strength_at(const SourceModel& model, const fem::Vec3& centroid,
+                   int group) {
+  for (const SourceRegion& r : model.regions)
+    if ((r.group < 0 || r.group == group) && r.box.contains(centroid))
+      return r.strength;
+  return 0.0;
+}
+
+}  // namespace
+
+core::ProblemData RunConfig::problem_data(
+    const core::Discretization& disc) const {
+  const mesh::HexMesh& m = disc.mesh();
+  const int ne = m.num_elements();
+  const int ng = materials.num_groups;
+
+  snap::CrossSections table =
+      materials.custom()
+          ? materials.cross_sections()
+          : xs.active()
+                ? libxs::read_library_file(xs.file).cross_sections(
+                      materials.material_names, angular.nmom)
+                : snap::make_cross_sections(ng, materials.scattering_ratio,
+                                            angular.nmom);
+
+  std::vector<int> material;
+  if (materials.custom() || xs.active()) {
+    material.reserve(static_cast<std::size_t>(ne));
+    for (int e = 0; e < ne; ++e)
+      material.push_back(material_at(materials, m.centroid(e)));
+  } else {
+    material = snap::assign_materials(m, materials.mat_opt);
   }
-  b.materials(std::move(mat));
 
-  SourceSpec src;
-  src.src_opt = source.src_opt;
+  NDArray<double, 2> qext;
   if (source.custom()) {
-    const SourceModel model = source;
-    src.profile = [model](const fem::Vec3& c, int g) {
-      for (const SourceRegion& r : model.regions)
-        if ((r.group < 0 || r.group == g) && r.box.contains(c))
-          return r.strength;
-      return 0.0;
-    };
+    qext.resize(
+        {static_cast<std::size_t>(ne), static_cast<std::size_t>(ng)});
+    for (int e = 0; e < ne; ++e) {
+      const fem::Vec3 centroid = m.centroid(e);
+      for (int g = 0; g < ng; ++g)
+        qext(e, g) = strength_at(source, centroid, g);
+    }
+  } else {
+    qext = snap::make_external_source(m, source.src_opt, ng);
   }
-  b.source(std::move(src));
-  return b;
+
+  return core::ProblemData(disc, std::move(table), std::move(material),
+                           std::move(qext));
 }
 
 bool RunConfig::operator==(const RunConfig& o) const {

@@ -7,7 +7,13 @@
 #include <vector>
 
 #include "api/options.hpp"
-#include "api/problem_builder.hpp"
+#include "fem/geometry.hpp"
+#include "snap/data.hpp"
+
+namespace unsnap::core {
+class Discretization;
+struct ProblemData;
+}  // namespace unsnap::core
 
 namespace unsnap::api {
 
@@ -64,16 +70,16 @@ struct MaterialModel {
   int mat_opt = 1;
   double scattering_ratio = 0.5;
   // --- custom route (active when sigt is non-empty) --------------------
-  std::vector<double> sigt;        // per-material totals
-  std::vector<double> scattering;  // per-material ratios c = sigs/sigt
-  int default_material = 0;        // id where no region matches
-  std::vector<MaterialRegion> regions;  // evaluated in order, first wins
+  std::vector<double> sigt{};        // per-material totals
+  std::vector<double> scattering{};  // per-material ratios c = sigs/sigt
+  int default_material = 0;          // id where no region matches
+  std::vector<MaterialRegion> regions{};  // evaluated in order, first wins
   // --- library route ([xs] section active) -----------------------------
   /// `material = <name> <name> ...`: the i-th library material name
   /// becomes deck material id i, referenced by `region` / a
   /// `default_material` exactly like the custom route. Empty = every
   /// library material in library order.
-  std::vector<std::string> material_names;
+  std::vector<std::string> material_names{};
 
   [[nodiscard]] bool custom() const { return !sigt.empty(); }
   /// The diagonal in-group cross-section set of the custom route.
@@ -87,10 +93,10 @@ struct MaterialModel {
 /// library instead of the generated/custom routes; relative paths resolve
 /// against the deck file's directory.
 struct XsSpec {
-  std::string file;       // library path; empty = section inactive
+  std::string file{};     // library path; empty = section inactive
   /// Groupset partition "a:b,c:d,..." for the keff block Gauss-Seidel;
   /// empty = the maximal downscatter partition (xs::default_groupsets).
-  std::string groupsets;
+  std::string groupsets{};
   double k_tol = 1e-6;        // |k_new - k| convergence criterion
   double fission_tol = 1e-5;  // max relative fission-source change
   int max_outers = 100;       // power-iteration outer cap
@@ -113,7 +119,7 @@ struct SourceRegion {
 
 struct SourceModel {
   int src_opt = 1;
-  std::vector<SourceRegion> regions;  // active when non-empty
+  std::vector<SourceRegion> regions{};  // active when non-empty
 
   [[nodiscard]] bool custom() const { return !regions.empty(); }
   [[nodiscard]] bool operator==(const SourceModel&) const = default;
@@ -144,8 +150,8 @@ struct OutputSpec {
 /// can express, aggregating the existing option structs plus the
 /// deck-only material/source/time models. Loads from and saves to
 /// SNAP-style deck files with full round-trip fidelity
-/// (read_deck_text(write_deck(cfg)) == cfg), and lowers onto a
-/// ProblemBuilder for the api::Run facade.
+/// (read_deck_text(write_deck(cfg)) == cfg), and lowers straight onto the
+/// core solver's inputs (to_input + problem_data) for the api::Run facade.
 struct RunConfig {
   std::string title;  // free-form run label (config echo / JSON)
   RunMode mode = RunMode::Solve;
@@ -161,15 +167,25 @@ struct RunConfig {
   TimeSpec time;
   OutputSpec output;
 
-  /// Cross-field validation beyond what the builder setters check
-  /// (custom-route array shapes, region material ids, mode constraints).
+  /// Full validation: the flat deck's field ranges (snap::Input::
+  /// validate) plus the cross-field rules (custom-route array shapes,
+  /// region material ids, [xs] library shape, mode constraints). Reads
+  /// the [xs] library once when the section is active.
   void validate() const;
 
-  /// Lower onto the builder vocabulary: generated routes pass through,
-  /// custom material/source models become centroid callbacks over the
-  /// region lists. The result builds bitwise the same problem a scenario
-  /// composing the equivalent specs by hand would.
-  [[nodiscard]] ProblemBuilder builder() const;
+  /// Lower onto the flat deck the core solvers read: mesh, angular,
+  /// iteration and execution fields plus the generated material/source
+  /// options. Region lists and the [xs] library do not lower here; they
+  /// shape problem_data().
+  [[nodiscard]] snap::Input to_input() const;
+
+  /// Build the problem data over `disc` for whichever route the deck
+  /// names: cross sections from the sigt lists, the [xs] library (read
+  /// here) or SNAP's generator; materials from the region list or
+  /// mat_opt; the source from the region list or src_opt. The generated
+  /// route is exactly core::ProblemData(disc, to_input()).
+  [[nodiscard]] core::ProblemData problem_data(
+      const core::Discretization& disc) const;
 
   [[nodiscard]] bool operator==(const RunConfig&) const;
 };

@@ -18,7 +18,7 @@ Discretization::Discretization(mesh::HexMesh mesh, int order,
 
 namespace {
 
-mesh::HexMesh mesh_from_input(const snap::Input& input) {
+mesh::HexMesh build_input_mesh(const snap::Input& input) {
   input.validate();
   mesh::MeshOptions options;
   options.dims = input.dims;
@@ -37,7 +37,7 @@ mesh::HexMesh mesh_from_input(const snap::Input& input) {
 }  // namespace
 
 Discretization::Discretization(const snap::Input& input)
-    : Discretization(mesh_from_input(input), input.order, input.quadrature,
+    : Discretization(build_input_mesh(input), input.order, input.quadrature,
                      input.nang, input.cycle_strategy) {}
 
 }  // namespace unsnap::core

@@ -76,9 +76,9 @@ struct Library {
   /// Lower onto the solver's cross-section tables. `names` selects and
   /// orders the materials (empty = all, library order); `nmom_out` is the
   /// number of scattering orders to carry (0 = all of nmom; must not
-  /// exceed it — the builder requires an exact match with the angular
-  /// spec). Fission columns are populated whenever any selected material
-  /// is fissile (zero rows for the others).
+  /// exceed it — the [xs] deck route passes [angular] nmom). Fission
+  /// columns are populated whenever any selected material is fissile
+  /// (zero rows for the others).
   [[nodiscard]] snap::CrossSections cross_sections(
       const std::vector<std::string>& names = {}, int nmom_out = 0) const;
 

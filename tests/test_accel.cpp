@@ -8,12 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/inner.hpp"
 #include "accel/krylov.hpp"
-#include "api/problem_builder.hpp"
-#include "diffusive_deck.hpp"
+#include "api/run.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "util/rng.hpp"
@@ -244,32 +245,36 @@ TEST(Richardson, GmresNeedsNoMoreIterationsThanRichardson) {
 
 // ---- the transport binding -----------------------------------------------
 
-api::ProblemBuilder base_deck() {
-  api::ProblemBuilder builder;
-  builder.mesh({.dims = {4, 4, 4}, .twist = 0.001, .shuffle_seed = 42})
-      .angular({.nang = 4})
-      .materials({.num_groups = 2, .mat_opt = 1, .scattering_ratio = 0.5})
-      .source({.src_opt = 1});
-  return builder;
+snap::Input base_deck() {
+  snap::Input input;
+  input.dims = {4, 4, 4};
+  input.twist = 0.001;
+  input.shuffle_seed = 42;
+  input.nang = 4;
+  input.ng = 2;
+  input.mat_opt = 1;
+  input.scattering_ratio = 0.5;
+  input.src_opt = 1;
+  return input;
 }
 
-api::IterationSpec converge_spec(snap::IterationScheme scheme,
-                                 double epsi = 1e-6) {
-  return {.epsi = epsi,
-          .iitm = 200,
-          .oitm = 40,
-          .fixed_iterations = false,
-          .scheme = scheme};
+/// Iterate to `epsi` under `scheme` with a generous budget.
+void converge(snap::Input& input, snap::IterationScheme scheme,
+              double epsi = 1e-6) {
+  input.epsi = epsi;
+  input.iitm = 200;
+  input.oitm = 40;
+  input.fixed_iterations = false;
+  input.iteration_scheme = scheme;
 }
 
-std::vector<double> solve_flux(const api::ProblemBuilder& builder,
+std::vector<double> solve_flux(const snap::Input& input,
                                core::IterationResult* result = nullptr) {
-  const api::Problem problem = builder.build();
-  const auto solver = problem.make_solver();
-  const core::IterationResult run = solver->run();
+  core::TransportSolver solver(input);
+  const core::IterationResult run = solver.run();
   EXPECT_TRUE(run.converged);
   if (result != nullptr) *result = run;
-  const core::NodalField& phi = solver->scalar_flux();
+  const core::NodalField& phi = solver.scalar_flux();
   return {phi.data(), phi.data() + phi.size()};
 }
 
@@ -282,15 +287,14 @@ double max_rel_diff(const std::vector<double>& a,
 }
 
 TEST(TransportGmres, AgreesWithSourceIteration) {
-  api::ProblemBuilder builder = base_deck();
-  builder.iteration(
-      converge_spec(snap::IterationScheme::SourceIteration));
+  snap::Input input = base_deck();
+  converge(input, snap::IterationScheme::SourceIteration);
   core::IterationResult si;
-  const std::vector<double> phi_si = solve_flux(builder, &si);
+  const std::vector<double> phi_si = solve_flux(input, &si);
 
-  builder.iteration(converge_spec(snap::IterationScheme::Gmres));
+  converge(input, snap::IterationScheme::Gmres);
   core::IterationResult gm;
-  const std::vector<double> phi_gm = solve_flux(builder, &gm);
+  const std::vector<double> phi_gm = solve_flux(input, &gm);
 
   EXPECT_LT(max_rel_diff(phi_si, phi_gm), 1e-4);
   EXPECT_GT(gm.krylov_iters, 0);
@@ -298,19 +302,18 @@ TEST(TransportGmres, AgreesWithSourceIteration) {
 }
 
 TEST(TransportGmres, HistoriesAreRecordedForBothSchemes) {
-  api::ProblemBuilder builder = base_deck();
-  builder.iteration(
-      converge_spec(snap::IterationScheme::SourceIteration));
+  snap::Input input = base_deck();
+  converge(input, snap::IterationScheme::SourceIteration);
   core::IterationResult si;
-  solve_flux(builder, &si);
+  solve_flux(input, &si);
   EXPECT_EQ(static_cast<int>(si.inner_history.size()), si.inners);
   EXPECT_EQ(si.sweeps, si.inners);
   EXPECT_TRUE(si.residual_history.empty());
   EXPECT_EQ(si.inner_history.back(), si.final_inner_change);
 
-  builder.iteration(converge_spec(snap::IterationScheme::Gmres));
+  converge(input, snap::IterationScheme::Gmres);
   core::IterationResult gm;
-  solve_flux(builder, &gm);
+  solve_flux(input, &gm);
   EXPECT_FALSE(gm.inner_history.empty());
   EXPECT_FALSE(gm.residual_history.empty());
   EXPECT_GT(gm.sweeps, gm.krylov_iters);  // seed + closing sweeps on top
@@ -319,48 +322,46 @@ TEST(TransportGmres, HistoriesAreRecordedForBothSchemes) {
 }
 
 TEST(TransportGmres, ReflectiveBoundariesAgreeWithSi) {
-  api::ProblemBuilder builder = base_deck();
-  builder.all_boundaries(snap::Input::Bc::Reflective);
-  builder.iteration(
-      converge_spec(snap::IterationScheme::SourceIteration));
-  const std::vector<double> phi_si = solve_flux(builder);
+  snap::Input input = base_deck();
+  input.boundary.fill(snap::Input::Bc::Reflective);
+  converge(input, snap::IterationScheme::SourceIteration);
+  const std::vector<double> phi_si = solve_flux(input);
 
-  builder.iteration(converge_spec(snap::IterationScheme::Gmres));
-  const std::vector<double> phi_gm = solve_flux(builder);
+  converge(input, snap::IterationScheme::Gmres);
+  const std::vector<double> phi_gm = solve_flux(input);
   EXPECT_LT(max_rel_diff(phi_si, phi_gm), 1e-3);
 }
 
 TEST(TransportGmres, AnisotropicMomentsAgreeWithSi) {
-  api::ProblemBuilder builder = base_deck();
-  builder.angular({.nang = 4, .nmom = 2});
-  builder.iteration(
-      converge_spec(snap::IterationScheme::SourceIteration));
-  const std::vector<double> phi_si = solve_flux(builder);
+  snap::Input input = base_deck();
+  input.nmom = 2;
+  converge(input, snap::IterationScheme::SourceIteration);
+  const std::vector<double> phi_si = solve_flux(input);
 
-  builder.iteration(converge_spec(snap::IterationScheme::Gmres));
-  const std::vector<double> phi_gm = solve_flux(builder);
+  converge(input, snap::IterationScheme::Gmres);
+  const std::vector<double> phi_gm = solve_flux(input);
   EXPECT_LT(max_rel_diff(phi_si, phi_gm), 1e-4);
 }
 
 TEST(TransportGmres, CycleLaggedSweepsAgreeWithSi) {
   // Strong twist forces sweep cycles; lag-scc breaks them with lagged
   // faces whose frozen-coupling treatment the gmres inners must respect.
-  api::ProblemBuilder builder;
-  builder
-      .mesh({.dims = {6, 6, 3},
-             .twist = 2.5,
-             .shuffle_seed = 0,
-             .cycle_strategy = sweep::CycleStrategy::LagScc})
-      .angular({.nang = 4,
-                .quadrature = angular::QuadratureKind::Product})
-      .materials({.num_groups = 1, .mat_opt = 0, .scattering_ratio = 0.5})
-      .source({.src_opt = 1});
-  builder.iteration(
-      converge_spec(snap::IterationScheme::SourceIteration));
-  const std::vector<double> phi_si = solve_flux(builder);
+  snap::Input input;
+  input.dims = {6, 6, 3};
+  input.twist = 2.5;
+  input.shuffle_seed = 0;
+  input.cycle_strategy = sweep::CycleStrategy::LagScc;
+  input.nang = 4;
+  input.quadrature = angular::QuadratureKind::Product;
+  input.ng = 1;
+  input.mat_opt = 0;
+  input.scattering_ratio = 0.5;
+  input.src_opt = 1;
+  converge(input, snap::IterationScheme::SourceIteration);
+  const std::vector<double> phi_si = solve_flux(input);
 
-  builder.iteration(converge_spec(snap::IterationScheme::Gmres));
-  const std::vector<double> phi_gm = solve_flux(builder);
+  converge(input, snap::IterationScheme::Gmres);
+  const std::vector<double> phi_gm = solve_flux(input);
   EXPECT_LT(max_rel_diff(phi_si, phi_gm), 1e-3);
 }
 
@@ -368,51 +369,48 @@ TEST(TransportGmres, BitwiseInvariantAcrossConcurrencySchemes) {
   // The Krylov reductions are serial by design, and the sweeps are
   // thread-bitwise-invariant (PR 2's battery), so the whole gmres solve
   // must produce bit-identical fluxes across concurrency schemes.
-  api::ProblemBuilder builder = base_deck();
-  builder.iteration(converge_spec(snap::IterationScheme::Gmres));
-  builder.execution({.scheme = snap::ConcurrencyScheme::Serial,
-                     .num_threads = 1});
-  const std::vector<double> serial = solve_flux(builder);
+  snap::Input input = base_deck();
+  converge(input, snap::IterationScheme::Gmres);
+  input.scheme = snap::ConcurrencyScheme::Serial;
+  input.num_threads = 1;
+  const std::vector<double> serial = solve_flux(input);
 
-  builder.execution({.scheme = snap::ConcurrencyScheme::ElementsGroups,
-                     .num_threads = 3});
-  const std::vector<double> threaded = solve_flux(builder);
+  input.scheme = snap::ConcurrencyScheme::ElementsGroups;
+  input.num_threads = 3;
+  const std::vector<double> threaded = solve_flux(input);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
     ASSERT_EQ(serial[i], threaded[i]) << "flux entry " << i;
 }
 
 TEST(TransportGmres, TinyInnerBudgetStillProgresses) {
-  api::ProblemBuilder builder = base_deck();
-  builder.iteration({.epsi = 1e-6,
-                     .iitm = 1,  // below the gmres floor of 4 sweeps
-                     .oitm = 60,
-                     .fixed_iterations = false,
-                     .scheme = snap::IterationScheme::Gmres});
+  snap::Input input = base_deck();
+  converge(input, snap::IterationScheme::Gmres);
+  input.iitm = 1;  // below the gmres floor of 4 sweeps
+  input.oitm = 60;
   core::IterationResult gm;
-  const std::vector<double> phi_gm = solve_flux(builder, &gm);
+  const std::vector<double> phi_gm = solve_flux(input, &gm);
 
-  builder.iteration(
-      converge_spec(snap::IterationScheme::SourceIteration));
-  const std::vector<double> phi_si = solve_flux(builder);
+  converge(input, snap::IterationScheme::SourceIteration);
+  const std::vector<double> phi_si = solve_flux(input);
   EXPECT_LT(max_rel_diff(phi_si, phi_gm), 1e-4);
 }
 
 TEST(TransportGmres, FixedIterationRunsAreDeterministic) {
-  api::ProblemBuilder builder = base_deck();
-  builder.iteration({.epsi = 1e-6,
-                     .iitm = 12,
-                     .oitm = 2,
-                     .fixed_iterations = true,
-                     .scheme = snap::IterationScheme::Gmres});
-  const api::Problem problem = builder.build();
+  snap::Input input = base_deck();
+  input.epsi = 1e-6;
+  input.iitm = 12;
+  input.oitm = 2;
+  input.fixed_iterations = true;
+  input.iteration_scheme = snap::IterationScheme::Gmres;
+  const auto disc = std::make_shared<const core::Discretization>(input);
   std::vector<double> runs[2];
   int sweeps[2] = {0, 0};
   for (int k = 0; k < 2; ++k) {
-    const auto solver = problem.make_solver();
-    const core::IterationResult result = solver->run();
+    core::TransportSolver solver(disc, input);
+    const core::IterationResult result = solver.run();
     sweeps[k] = result.sweeps;
-    const core::NodalField& phi = solver->scalar_flux();
+    const core::NodalField& phi = solver.scalar_flux();
     runs[k].assign(phi.data(), phi.data() + phi.size());
   }
   EXPECT_EQ(sweeps[0], sweeps[1]);
@@ -425,27 +423,28 @@ TEST(TransportGmres, FixedIterationRunsAreDeterministic) {
 // ---- the diffusive acceptance bound --------------------------------------
 
 TEST(TransportGmres, DiffusiveDeckAcceptance) {
-  // The diffusive scenario's deck (tests/diffusive_deck.hpp) at c = 0.99:
-  // a 16 mfp scattering shield.
-  api::ProblemBuilder builder = testing::diffusive_builder(0.99, 4, 12);
+  // The diffusive scenario's deck (decks/diffusive.inp, c = 0.99: a
+  // 16 mfp scattering shield) on a coarser 4 x 4 x 12 mesh.
+  api::RunConfig config =
+      api::read_deck_file(std::string(UNSNAP_DECK_DIR) + "/diffusive.inp");
+  config.mesh.dims = {4, 4, 12};
 
   core::IterationResult results[2];
   std::vector<double> fluxes[2];
   for (const snap::IterationScheme scheme :
        {snap::IterationScheme::SourceIteration,
         snap::IterationScheme::Gmres}) {
-    builder.iteration({.epsi = 1e-6,
-                       .iitm = 600,
-                       .oitm = 5,
-                       .fixed_iterations = false,
-                       .scheme = scheme,
-                       .gmres_restart = 40});
-    const api::Problem problem = builder.build();
-    const auto solver = problem.make_solver();
+    config.iteration = {.epsi = 1e-6,
+                        .iitm = 600,
+                        .oitm = 5,
+                        .fixed_iterations = false,
+                        .scheme = scheme,
+                        .gmres_restart = 40};
+    api::Run run(config);
     const std::size_t which =
         scheme == snap::IterationScheme::Gmres ? 1 : 0;
-    results[which] = solver->run();
-    const core::NodalField& phi = solver->scalar_flux();
+    results[which] = *run.execute().iteration;
+    const core::NodalField& phi = run.solver()->scalar_flux();
     fluxes[which].assign(phi.data(), phi.data() + phi.size());
   }
   const core::IterationResult& si = results[0];

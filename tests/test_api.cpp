@@ -1,18 +1,20 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <string>
 
 #include "api/driver.hpp"
-#include "api/problem_builder.hpp"
 #include "api/report.hpp"
+#include "api/run.hpp"
 #include "api/scenario.hpp"
 #include "util/assert.hpp"
 
 namespace unsnap::api {
 namespace {
 
-// A small, fully deterministic configuration (serial sweeps, one thread)
-// shared by the equivalence tests.
+// ---- RunConfig lowering --------------------------------------------------
+
+// A small, fully deterministic problem (serial sweeps, one thread),
+// spelled once as a hand-filled snap::Input and once as a RunConfig.
 snap::Input reference_input() {
   snap::Input input;
   input.dims = {4, 4, 4};
@@ -33,21 +35,22 @@ snap::Input reference_input() {
   return input;
 }
 
-ProblemBuilder reference_builder() {
-  return ProblemBuilder()
-      .mesh({.dims = {4, 4, 4}, .twist = 0.002, .shuffle_seed = 11})
-      .angular({.nang = 4})
-      .materials({.num_groups = 2, .mat_opt = 1, .scattering_ratio = 0.5})
-      .source({.src_opt = 1})
-      .iteration({.epsi = 1e-6,
-                  .iitm = 50,
-                  .oitm = 8,
-                  .fixed_iterations = false})
-      .execution({.scheme = snap::ConcurrencyScheme::Serial,
-                  .num_threads = 1});
+RunConfig reference_config() {
+  RunConfig config;
+  config.mesh.dims = {4, 4, 4};
+  config.mesh.twist = 0.002;
+  config.mesh.shuffle_seed = 11;
+  config.angular.nang = 4;
+  config.materials.num_groups = 2;
+  config.materials.mat_opt = 1;
+  config.materials.scattering_ratio = 0.5;
+  config.source.src_opt = 1;
+  config.iteration = {
+      .epsi = 1e-6, .iitm = 50, .oitm = 8, .fixed_iterations = false};
+  config.execution.scheme = snap::ConcurrencyScheme::Serial;
+  config.execution.num_threads = 1;
+  return config;
 }
-
-// ---- builder <-> Input adapter -----------------------------------------
 
 void expect_inputs_equal(const snap::Input& a, const snap::Input& b) {
   EXPECT_EQ(a.dims, b.dims);
@@ -67,199 +70,61 @@ void expect_inputs_equal(const snap::Input& a, const snap::Input& b) {
   EXPECT_EQ(a.iitm, b.iitm);
   EXPECT_EQ(a.oitm, b.oitm);
   EXPECT_EQ(a.fixed_iterations, b.fixed_iterations);
+  EXPECT_EQ(a.iteration_scheme, b.iteration_scheme);
   EXPECT_EQ(a.layout, b.layout);
   EXPECT_EQ(a.scheme, b.scheme);
   EXPECT_EQ(a.solver, b.solver);
   EXPECT_EQ(a.num_threads, b.num_threads);
+  EXPECT_EQ(a.preassembly, b.preassembly);
   EXPECT_EQ(a.cycle_strategy, b.cycle_strategy);
   EXPECT_EQ(a.validate_mesh, b.validate_mesh);
   EXPECT_EQ(a.time_solve, b.time_solve);
   EXPECT_EQ(a.sweep_exchange, b.sweep_exchange);
 }
 
-TEST(ProblemBuilderAdapter, BuilderLowersToTheHandFilledInput) {
-  expect_inputs_equal(reference_builder().to_input(), reference_input());
+TEST(RunConfigLowering, ToInputMatchesTheHandFilledInput) {
+  expect_inputs_equal(reference_config().to_input(), reference_input());
 }
 
-TEST(ProblemBuilderAdapter, FromInputToInputRoundTrips) {
-  snap::Input input = reference_input();
-  input.nmom = 2;
-  input.boundary[4] = snap::Input::Bc::Reflective;
-  input.layout = snap::FluxLayout::AngleGroupElement;
-  input.time_solve = true;
-  input.sweep_exchange = snap::SweepExchange::Pipelined;
-  expect_inputs_equal(ProblemBuilder::from_input(input).to_input(), input);
+TEST(RunConfigLowering, DecompositionLowersTheExchange) {
+  RunConfig config = reference_config();
+  config.decomposition = {
+      .px = 2, .py = 3, .exchange = snap::SweepExchange::Pipelined};
+  EXPECT_NO_THROW(config.validate());
+  EXPECT_EQ(config.to_input().sweep_exchange, snap::SweepExchange::Pipelined);
+  config.decomposition.px = 0;
+  EXPECT_THROW(config.validate(), InvalidInput);
 }
 
-TEST(ProblemBuilderAdapter, DecompositionSpecLowersTheExchange) {
-  ProblemBuilder builder = reference_builder();
-  builder.decomposition(
-      {.px = 2, .py = 3, .exchange = snap::SweepExchange::Pipelined});
-  EXPECT_EQ(builder.decomposition().px, 2);
-  EXPECT_EQ(builder.decomposition().py, 3);
-  EXPECT_EQ(builder.to_input().sweep_exchange,
-            snap::SweepExchange::Pipelined);
-  EXPECT_THROW(builder.decomposition({.px = 0, .py = 1}), InvalidInput);
-}
-
-TEST(ProblemBuilderAdapter, ToInputRejectsCustomData) {
-  ProblemBuilder builder = reference_builder();
-  builder.source(
-      {.profile = [](const fem::Vec3&, int) { return 1.0; }});
-  EXPECT_THROW(builder.to_input(), InvalidInput);
-}
-
-// ---- solve equivalence --------------------------------------------------
-
-TEST(ProblemBuilderEquivalence, MatchesHandFilledInputSolveExactly) {
+TEST(RunConfigLowering, SolveMatchesHandFilledInputExactly) {
+  // Converged (not fixed-count) iterations through api::Run against the
+  // core solver fed the hand-filled input: same counts, flux and balance.
   core::TransportSolver legacy(reference_input());
   const core::IterationResult legacy_result = legacy.run();
 
-  const Problem problem = reference_builder().build();
-  const auto solver = problem.make_solver();
-  const core::IterationResult result = solver->run();
-
+  api::Run run(reference_config());
+  const RunRecord record = run.execute();
+  ASSERT_TRUE(record.iteration.has_value());
+  const core::IterationResult& result = *record.iteration;
+  EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.converged, legacy_result.converged);
   EXPECT_EQ(result.outers, legacy_result.outers);
   EXPECT_EQ(result.inners, legacy_result.inners);
   EXPECT_EQ(result.final_inner_change, legacy_result.final_inner_change);
   EXPECT_EQ(result.final_outer_change, legacy_result.final_outer_change);
 
-  const auto& disc = problem.discretization();
-  for (int e = 0; e < disc.num_elements(); ++e)
-    for (int g = 0; g < problem.input().ng; ++g) {
-      const double* mine = solver->scalar_flux().at(e, g);
-      const double* ref = legacy.scalar_flux().at(e, g);
-      for (int i = 0; i < disc.num_nodes(); ++i)
-        ASSERT_EQ(mine[i], ref[i]) << "element " << e << " group " << g;
-    }
+  const core::NodalField& flux = run.solver()->scalar_flux();
+  const core::NodalField& ref = legacy.scalar_flux();
+  ASSERT_EQ(flux.size(), ref.size());
+  for (std::size_t i = 0; i < flux.size(); ++i)
+    ASSERT_EQ(flux.data()[i], ref.data()[i]) << "flux entry " << i;
 
-  const core::BalanceReport balance = solver->balance();
+  ASSERT_TRUE(record.balance.has_value());
   const core::BalanceReport legacy_balance = legacy.balance();
-  EXPECT_EQ(balance.source, legacy_balance.source);
-  EXPECT_EQ(balance.absorption, legacy_balance.absorption);
-  EXPECT_EQ(balance.leakage, legacy_balance.leakage);
-  EXPECT_NEAR(balance.residual(), legacy_balance.residual(), 1e-12);
-}
-
-TEST(ProblemBuilderEquivalence, SharedDiscretizationBuildMatches) {
-  const Problem first = reference_builder().build();
-  const Problem second =
-      reference_builder().build(first.discretization_ptr());
-  EXPECT_EQ(&first.discretization(), &second.discretization());
-
-  const Problem::RunResult a = first.solve();
-  const Problem::RunResult b = second.solve();
-  EXPECT_EQ(a.iteration.inners, b.iteration.inners);
-  EXPECT_EQ(a.balance.residual(), b.balance.residual());
-}
-
-TEST(ProblemBuilderEquivalence, SharedDiscretizationRejectsMismatch) {
-  const Problem first = reference_builder().build();
-  ProblemBuilder other = reference_builder();
-  other.angular({.nang = 6});
-  EXPECT_THROW(other.build(first.discretization_ptr()), InvalidInput);
-
-  ProblemBuilder resized = reference_builder();
-  resized.mesh({.dims = {8, 8, 8}});  // spec resized, discretisation not
-  EXPECT_THROW(resized.build(first.discretization_ptr()), InvalidInput);
-}
-
-// ---- custom-route validation -------------------------------------------
-
-snap::CrossSections one_material_xs(int ng) {
-  snap::CrossSections xs;
-  xs.num_materials = 1;
-  xs.ng = ng;
-  const auto g_count = static_cast<std::size_t>(ng);
-  xs.sigt.resize({1, g_count}, 1.0);
-  xs.sigs.resize({1, g_count}, 0.4);
-  xs.siga.resize({1, g_count}, 0.6);
-  xs.slgg.resize({1, g_count, g_count}, 0.0);
-  for (int g = 0; g < ng; ++g) xs.slgg(0, g, g) = 0.4;
-  return xs;
-}
-
-TEST(ProblemBuilderCustom, MaterialMapOutOfRangeRejected) {
-  ProblemBuilder builder = reference_builder();
-  builder.materials({.cross_sections = one_material_xs(2),
-                     .material_map = [](const fem::Vec3&) { return 1; }});
-  EXPECT_THROW(builder.build(), InvalidInput);
-}
-
-TEST(ProblemBuilderCustom, SnapMaterialOptionNeedsEnoughCustomMaterials) {
-  ProblemBuilder builder = reference_builder();
-  // mat_opt 1 assigns material 1 in the centre box, but the custom cross
-  // sections define a single material.
-  builder.materials({.mat_opt = 1, .cross_sections = one_material_xs(2)});
-  EXPECT_THROW(builder.build(), InvalidInput);
-}
-
-TEST(ProblemBuilderCustom, NmomMismatchRejected) {
-  ProblemBuilder builder = reference_builder();
-  builder.angular({.nang = 4, .nmom = 2});
-  builder.materials({.cross_sections = one_material_xs(2)});  // nmom == 1
-  EXPECT_THROW(builder.validate(), InvalidInput);
-}
-
-TEST(ProblemBuilderCustom, CustomGroupCountWinsOverNumGroups) {
-  ProblemBuilder builder = reference_builder();
-  builder.materials({.num_groups = 7,
-                     .mat_opt = 0,
-                     .cross_sections = one_material_xs(3)});
-  EXPECT_EQ(builder.build().input().ng, 3);
-}
-
-TEST(ProblemBuilderCustom, BalancesWithCustomSourceProfile) {
-  ProblemBuilder builder = reference_builder();
-  // Untwisted mesh: element volumes are exact, so the integrated source
-  // below is exactly 2.0 x half the unit cube.
-  builder.mesh({.dims = {4, 4, 4}, .twist = 0.0, .shuffle_seed = 11});
-  builder.materials({.mat_opt = 0, .cross_sections = one_material_xs(2)});
-  builder.source({.profile = [](const fem::Vec3& c, int g) {
-    return g == 0 && c[0] < 0.5 ? 2.0 : 0.0;
-  }});
-  const Problem::RunResult run = builder.build().solve();
-  EXPECT_TRUE(run.iteration.converged);
-  EXPECT_NEAR(run.balance.source, 1.0, 1e-10);  // 2.0 over half the volume
-  EXPECT_LT(std::fabs(run.balance.relative()), 1e-4);
-}
-
-// ---- eager setter validation -------------------------------------------
-
-TEST(ProblemBuilderSetters, RejectBadSpecsAtTheCallSite) {
-  ProblemBuilder builder;
-  EXPECT_THROW(builder.mesh({.dims = {0, 4, 4}}), InvalidInput);
-  EXPECT_THROW(builder.mesh({.order = 9}), InvalidInput);
-  EXPECT_THROW(builder.angular({.nang = 0}), InvalidInput);
-  EXPECT_THROW(builder.angular({.nmom = 7}), InvalidInput);
-  EXPECT_THROW(builder.materials({.mat_opt = 3}), InvalidInput);
-  EXPECT_THROW(builder.materials({.scattering_ratio = 1.0}), InvalidInput);
-  EXPECT_THROW(builder.source({.src_opt = -1}), InvalidInput);
-  EXPECT_THROW(builder.iteration({.epsi = 0.0}), InvalidInput);
-  EXPECT_THROW(builder.iteration({.iitm = 0}), InvalidInput);
-  EXPECT_THROW(builder.execution({.num_threads = -1}), InvalidInput);
-  EXPECT_THROW(builder.boundary("+w", snap::Input::Bc::Vacuum),
-               InvalidInput);
-}
-
-TEST(ProblemBuilderSetters, BoundarySidesAddressableByName) {
-  ProblemBuilder builder;
-  builder.boundary("-z", snap::Input::Bc::Reflective)
-      .boundary("+y", snap::Input::Bc::Reflective);
-  const snap::Input input = builder.to_input();
-  EXPECT_EQ(input.boundary[4], snap::Input::Bc::Reflective);
-  EXPECT_EQ(input.boundary[3], snap::Input::Bc::Reflective);
-  EXPECT_EQ(input.boundary[0], snap::Input::Bc::Vacuum);
-}
-
-TEST(ProblemBuilderSetters, ValidateMirrorsInputLevelRules) {
-  // The cross-spec rules (reflective + large twist) surface through the
-  // builder's validate() as well, before any mesh is built.
-  ProblemBuilder builder = reference_builder();
-  builder.mesh({.dims = {4, 4, 4}, .twist = 0.2});
-  builder.all_boundaries(snap::Input::Bc::Reflective);
-  EXPECT_THROW(builder.validate(), InvalidInput);
+  EXPECT_EQ(record.balance->source, legacy_balance.source);
+  EXPECT_EQ(record.balance->absorption, legacy_balance.absorption);
+  EXPECT_EQ(record.balance->leakage, legacy_balance.leakage);
+  EXPECT_NEAR(record.balance->residual(), legacy_balance.residual(), 1e-12);
 }
 
 // ---- scenario registry --------------------------------------------------
@@ -332,18 +197,22 @@ TEST(DriverTest, MalformedScenarioArgumentsExitWithUsageError) {
 // ---- report helpers -----------------------------------------------------
 
 TEST(ReportHelpers, RegionAverageMatchesGroupAverageOnFullDomain) {
-  const Problem problem = reference_builder().build();
-  const auto solver = problem.make_solver();
-  solver->run();
-  const auto averages =
-      group_volume_averages(problem.discretization(), solver->scalar_flux());
+  api::RunConfig config;
+  config.mesh = {.dims = {4, 4, 4}, .twist = 0.002, .shuffle_seed = 11};
+  config.angular = {.nang = 4};
+  config.materials.num_groups = 2;
+  config.iteration = {.epsi = 1e-6, .iitm = 50, .oitm = 8,
+                      .fixed_iterations = false};
+  api::Run run(config);
+  (void)run.execute();
+  const core::Discretization& disc = run.solver()->discretization();
+  const core::NodalField& phi = run.solver()->scalar_flux();
+  const auto averages = group_volume_averages(disc, phi);
   ASSERT_EQ(averages.size(), 2u);
   const double full = region_average_flux(
-      problem.discretization(), solver->scalar_flux(), 0,
-      [](const fem::Vec3&) { return true; });
+      disc, phi, 0, [](const fem::Vec3&) { return true; });
   EXPECT_NEAR(full, averages[0], 1e-13);
-  EXPECT_EQ(region_average_flux(problem.discretization(),
-                                solver->scalar_flux(), 0,
+  EXPECT_EQ(region_average_flux(disc, phi, 0,
                                 [](const fem::Vec3&) { return false; }),
             0.0);
 }

@@ -148,6 +148,92 @@ TEST(DeckBinding, GoldenMalformedDeckMessages) {
   expect_bind_error("[mesh]\ndims = 4 8 8\n[decomposition]\npx = 9\n",
                     "t.inp: decomposition: px = 9 exceeds the 4 cells "
                     "along x");
+  // Empty rank blocks.
+  expect_bind_error("[decomposition]\npx = 0\n",
+                    "t.inp: decomposition: px, py and pz must be positive");
+  expect_bind_error("[decomposition]\npz = -1\n",
+                    "t.inp: decomposition: px, py and pz must be positive");
+}
+
+TEST(DeckBinding, RejectBadFieldRangesAtDeckLevel) {
+  // The flat deck's field ranges are checked when the deck is bound,
+  // before any mesh is built.
+  expect_bind_error("[mesh]\ndims = 0 4 4\n",
+                    "t.inp: input: mesh dims must be positive");
+  expect_bind_error("[mesh]\norder = 9\n",
+                    "t.inp: input: element order must be in 1..8");
+  expect_bind_error("[angular]\nnang = 0\n",
+                    "t.inp: input: nang must be positive");
+  expect_bind_error("[angular]\nnmom = 7\n",
+                    "t.inp: input: nmom must be in 1..6");
+  expect_bind_error("[materials]\nmat_opt = 3\n",
+                    "t.inp: input: mat_opt must be 0, 1 or 2");
+  expect_bind_error("[materials]\nscattering_ratio = 1\n",
+                    "t.inp: input: scattering ratio must be in [0, 1)");
+  expect_bind_error("[source]\nsrc_opt = -1\n",
+                    "t.inp: input: src_opt must be 0, 1 or 2");
+  expect_bind_error("[iteration]\nepsi = 0\n",
+                    "t.inp: input: epsi must be positive");
+  expect_bind_error("[iteration]\niitm = 0\n",
+                    "t.inp: input: iteration limits must be >= 1");
+  expect_bind_error("[execution]\nthreads = -1\n",
+                    "t.inp: execution: threads: thread count must be >= 0");
+}
+
+TEST(DeckBinding, BoundarySidesAddressableByName) {
+  using Bc = snap::Input::Bc;
+  const snap::Input input =
+      api::read_deck_text("[boundary]\n-z = reflective\n+y = reflective\n")
+          .to_input();
+  EXPECT_EQ(input.boundary[4], Bc::Reflective);
+  EXPECT_EQ(input.boundary[3], Bc::Reflective);
+  EXPECT_EQ(input.boundary[0], Bc::Vacuum);
+  EXPECT_EQ(api::side_from_string("-z"), 4);
+  EXPECT_THROW((void)api::side_from_string("+w"), InvalidInput);
+  expect_bind_error("[boundary]\n+w = vacuum\n",
+                    "t.inp:2: unknown key '+w' in [boundary]");
+}
+
+TEST(DeckBinding, ValidateMirrorsInputLevelRules) {
+  // snap::Input's cross-field rule (reflective sides need a small twist)
+  // surfaces through RunConfig::validate, so a config built in code and a
+  // bound deck are both refused before any mesh is built.
+  api::RunConfig config;
+  config.mesh.twist = 0.2;
+  config.boundary.sides.fill(snap::Input::Bc::Reflective);
+  EXPECT_THROW(config.validate(), InvalidInput);
+  expect_bind_error("[mesh]\ntwist = 0.2\n[boundary]\nall = reflective\n",
+                    "t.inp: input: reflective boundaries require |twist| "
+                    "<= 0.01");
+}
+
+TEST(DeckBinding, SigtRouteNmomMismatchRejected) {
+  // The sigt route's cross sections are isotropic.
+  api::RunConfig config;
+  config.angular.nmom = 2;
+  config.materials.sigt = {1.0};
+  config.materials.scattering = {0.5};
+  EXPECT_THROW(config.validate(), InvalidInput);
+  expect_bind_error("[angular]\nnmom = 2\n"
+                    "[materials]\nsigt = 1\nscattering = 0.5\n",
+                    "t.inp: materials: custom cross sections carry 1 "
+                    "scattering orders but the angular spec asks for 2");
+}
+
+TEST(DeckBinding, RegionMaterialOutOfRangeRejected) {
+  // A region (or the default) naming a material the sigt lists do not
+  // define is refused at validation, not when the problem data is built.
+  api::RunConfig config;
+  config.materials.sigt = {1.0};
+  config.materials.scattering = {0.5};
+  config.materials.regions = {{.material = 1}};
+  EXPECT_THROW(config.validate(), InvalidInput);
+  config.materials.regions.clear();
+  config.materials.default_material = 1;
+  EXPECT_THROW(config.validate(), InvalidInput);
+  expect_bind_error("[materials]\nsigt = 1\nscattering = 0.5\n"
+                    "region = 1 -inf inf -inf inf -inf 1\n",
+                    "t.inp: materials: region material id 1 outside 0..0");
 }
 
 TEST(DeckBinding, RepeatedRegionsAllowed) {

@@ -6,11 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <vector>
 
-#include "api/problem_builder.hpp"
+#include "core/problem_data.hpp"
 #include "xs/keff.hpp"
 #include "xs/library.hpp"
 
@@ -53,21 +54,49 @@ Library two_group_fuel() {
   return lib;
 }
 
+/// A lowered keff problem: the flat deck, its discretisation and the
+/// library's cross sections mapped onto the mesh.
+struct Problem {
+  snap::Input input;
+  std::shared_ptr<const core::Discretization> disc;
+  core::ProblemData data;
+
+  [[nodiscard]] KeffSolver solver(const KeffOptions& options) const {
+    return KeffSolver(disc, input, data, options);
+  }
+};
+
+/// `lib` over the mesh of `input`, material by element centroid
+/// (source-free: keff ignores the external source).
+Problem make_problem(const snap::Input& input, const Library& lib,
+                     int (*material_of)(const fem::Vec3&)) {
+  auto disc = std::make_shared<const core::Discretization>(input);
+  const int ne = disc->num_elements();
+  std::vector<int> material;
+  for (int e = 0; e < ne; ++e)
+    material.push_back(material_of(disc->mesh().centroid(e)));
+  core::ProblemData data(
+      *disc, lib.cross_sections(), std::move(material),
+      NDArray<double, 2>({static_cast<std::size_t>(ne),
+                          static_cast<std::size_t>(lib.ng)},
+                         0.0));
+  return {input, std::move(disc), std::move(data)};
+}
+
 /// Homogeneous cube of `lib`'s material 0 with reflective boundaries
 /// everywhere: the transport solution is the infinite-medium one, so k
 /// must hit the closed form to solver precision.
-api::Problem reflective_problem(const Library& lib, int num_threads = 0) {
-  api::ProblemBuilder builder;
-  builder.mesh({.dims = {2, 2, 2}, .extent = {1.0, 1.0, 1.0}})
-      .angular({.nang = 2})
-      .materials({.num_groups = lib.ng, .cross_sections = lib.cross_sections()})
-      .all_boundaries(snap::Input::Bc::Reflective)
-      .iteration({.epsi = 1e-12,
-                  .iitm = 100,
-                  .oitm = 10,
-                  .fixed_iterations = false})
-      .execution({.num_threads = num_threads});
-  return builder.build();
+Problem reflective_problem(const Library& lib) {
+  snap::Input input;
+  input.dims = {2, 2, 2};
+  input.nang = 2;
+  input.ng = lib.ng;
+  input.boundary.fill(snap::Input::Bc::Reflective);
+  input.epsi = 1e-12;
+  input.iitm = 100;
+  input.oitm = 10;
+  input.fixed_iterations = false;
+  return make_problem(input, lib, [](const fem::Vec3&) { return 0; });
 }
 
 KeffOptions tight_options() {
@@ -80,9 +109,7 @@ KeffOptions tight_options() {
 
 TEST(Keff, OneGroupInfiniteMediumAnalytic) {
   const Library lib = one_group_library();
-  const api::Problem problem = reflective_problem(lib);
-  KeffSolver solver(problem.discretization_ptr(), problem.input(),
-                    problem.data(), tight_options());
+  KeffSolver solver = reflective_problem(lib).solver(tight_options());
   const KeffResult result = solver.run();
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.k, 1.2, 1e-10);
@@ -95,12 +122,11 @@ TEST(Keff, TwoGroupDownscatterClosedForm) {
   // under both the per-group split (the pure-downscatter default) and the
   // fused single-set partition.
   const Library lib = two_group_fuel();
-  const api::Problem problem = reflective_problem(lib);
+  const Problem problem = reflective_problem(lib);
   for (const bool fused : {false, true}) {
     KeffOptions options = tight_options();
     if (fused) options.groupsets = {{0, 1}};
-    KeffSolver solver(problem.discretization_ptr(), problem.input(),
-                      problem.data(), options);
+    KeffSolver solver = problem.solver(options);
     const KeffResult result = solver.run();
     EXPECT_TRUE(result.converged);
     EXPECT_NEAR(result.k, 1.0, 1e-10) << (fused ? "fused" : "split");
@@ -113,9 +139,7 @@ TEST(Keff, TwoGroupDownscatterClosedForm) {
 
 TEST(Keff, DefaultGroupsetsSplitPureDownscatter) {
   const Library lib = two_group_fuel();
-  const api::Problem problem = reflective_problem(lib);
-  KeffSolver solver(problem.discretization_ptr(), problem.input(),
-                    problem.data(), tight_options());
+  KeffSolver solver = reflective_problem(lib).solver(tight_options());
   ASSERT_EQ(solver.groupsets().size(), 2u);
   EXPECT_EQ(solver.groupsets()[0].lo, 0);
   EXPECT_EQ(solver.groupsets()[1].hi, 1);
@@ -123,25 +147,22 @@ TEST(Keff, DefaultGroupsetsSplitPureDownscatter) {
 
 /// A leaky two-material configuration (fuel cube in a pure absorber
 /// jacket) exercising the spatially varying fission source.
-api::Problem leaky_problem(const Library& lib, int num_threads) {
-  api::ProblemBuilder builder;
-  builder.mesh({.dims = {4, 4, 4}, .extent = {4.0, 4.0, 4.0}})
-      .angular({.nang = 2})
-      .materials({.num_groups = lib.ng,
-                  .cross_sections = lib.cross_sections(),
-                  .material_map =
-                      [](const fem::Vec3& c) {
-                        const bool fuel = 1.0 < c[0] && c[0] < 3.0 &&
-                                          1.0 < c[1] && c[1] < 3.0 &&
-                                          1.0 < c[2] && c[2] < 3.0;
-                        return fuel ? 0 : 1;
-                      }})
-      .iteration({.epsi = 1e-8,
-                  .iitm = 30,
-                  .oitm = 5,
-                  .fixed_iterations = false})
-      .execution({.num_threads = num_threads});
-  return builder.build();
+Problem leaky_problem(const Library& lib, int num_threads) {
+  snap::Input input;
+  input.dims = {4, 4, 4};
+  input.extent = {4.0, 4.0, 4.0};
+  input.nang = 2;
+  input.ng = lib.ng;
+  input.epsi = 1e-8;
+  input.iitm = 30;
+  input.oitm = 5;
+  input.fixed_iterations = false;
+  input.num_threads = num_threads;
+  return make_problem(input, lib, [](const fem::Vec3& c) {
+    const bool fuel = 1.0 < c[0] && c[0] < 3.0 && 1.0 < c[1] &&
+                      c[1] < 3.0 && 1.0 < c[2] && c[2] < 3.0;
+    return fuel ? 0 : 1;
+  });
 }
 
 /// Fuel + water pair of the criticality deck.
@@ -163,13 +184,11 @@ std::vector<double> run_history(
     int num_threads,
     std::optional<core::PreassembledOperator::Mode> mode = std::nullopt) {
   const Library lib = fuel_water_library();
-  const api::Problem problem = leaky_problem(lib, num_threads);
   KeffOptions options;
   options.k_tol = 1e-8;
   options.fission_tol = 1e-7;
   options.max_outers = 60;
-  KeffSolver solver(problem.discretization_ptr(), problem.input(),
-                    problem.data(), options);
+  KeffSolver solver = leaky_problem(lib, num_threads).solver(options);
   if (mode) solver.enable_preassembly(*mode);
   const KeffResult result = solver.run();
   EXPECT_TRUE(result.converged);
@@ -203,13 +222,11 @@ TEST(Keff, KHistoryMatchesUnderPreassembly) {
 
 TEST(Keff, BalanceLedgerClosesAndBucketsSum) {
   const Library lib = fuel_water_library();
-  const api::Problem problem = leaky_problem(lib, 2);
   KeffOptions options;
   options.k_tol = 1e-9;
   options.fission_tol = 1e-8;
   options.max_outers = 80;
-  KeffSolver solver(problem.discretization_ptr(), problem.input(),
-                    problem.data(), options);
+  KeffSolver solver = leaky_problem(lib, 2).solver(options);
   const KeffResult result = solver.run();
   ASSERT_TRUE(result.converged);
 
@@ -235,7 +252,7 @@ TEST(Keff, BalanceLedgerClosesAndBucketsSum) {
 
 TEST(Keff, ExtrapolationReachesTheSameEigenvalue) {
   const Library lib = fuel_water_library();
-  const api::Problem problem = leaky_problem(lib, 2);
+  const Problem problem = leaky_problem(lib, 2);
   KeffOptions plain;
   plain.k_tol = 1e-9;
   plain.fission_tol = 1e-8;
@@ -243,10 +260,8 @@ TEST(Keff, ExtrapolationReachesTheSameEigenvalue) {
   KeffOptions shifted = plain;
   shifted.extrapolate = true;
 
-  KeffSolver a(problem.discretization_ptr(), problem.input(), problem.data(),
-               plain);
-  KeffSolver b(problem.discretization_ptr(), problem.input(), problem.data(),
-               shifted);
+  KeffSolver a = problem.solver(plain);
+  KeffSolver b = problem.solver(shifted);
   const KeffResult ra = a.run();
   const KeffResult rb = b.run();
   ASSERT_TRUE(ra.converged);

@@ -1,24 +1,29 @@
-// api::Run facade: deck-driven runs must be bitwise-identical to the
-// builder-configured path for every lowering route (generated materials,
-// custom region materials, distributed, mms, time), the RunRecord must
-// serialise to schema-shaped JSON, and the observer hooks must fire in
-// lockstep with the recorded histories.
+// api::Run facade: deck-driven runs must be bitwise-identical to the core
+// solvers fed a hand-filled snap::Input (plus hand-built core::ProblemData
+// for region decks) on every lowering route — generated, region and mixed
+// materials/sources, distributed, mms, time — an injected discretisation
+// must be checked and the deck's thread count pinned in every
+// single-domain mode, the RunRecord must serialise to schema-shaped JSON,
+// and the observer hooks must fire in lockstep with the recorded
+// histories.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
+#include <filesystem>
 #include <memory>
-#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "api/problem_builder.hpp"
 #include "api/report.hpp"
 #include "api/run.hpp"
 #include "api/version.hpp"
 #include "comm/distributed.hpp"
 #include "core/manufactured.hpp"
 #include "core/time_dependent.hpp"
+#include "util/assert.hpp"
 
 namespace unsnap {
 namespace {
@@ -32,9 +37,9 @@ void expect_bitwise_equal_flux(const core::NodalField& a,
     ASSERT_EQ(pa[i], pb[i]) << "flux entry " << i;
 }
 
-// --- deck path == builder path, per lowering route ------------------------
+// --- deck path == hand-filled reference, per lowering route ---------------
 
-TEST(Run, GeneratedRouteMatchesBuilderBitwise) {
+TEST(Run, GeneratedRouteMatchesHandFilledInputBitwise) {
   const std::string deck =
       "[mesh]\ndims = 4 4 4\ntwist = 0.001\nshuffle_seed = 42\n"
       "[angular]\nnang = 4\n"
@@ -44,42 +49,66 @@ TEST(Run, GeneratedRouteMatchesBuilderBitwise) {
   api::Run run(api::read_deck_text(deck));
   const api::RunRecord record = run.execute();
 
-  const api::Problem problem =
-      api::ProblemBuilder()
-          .mesh({.dims = {4, 4, 4}, .twist = 0.001, .shuffle_seed = 42})
-          .angular({.nang = 4})
-          .materials(
-              {.num_groups = 2, .mat_opt = 1, .scattering_ratio = 0.5})
-          .source({.src_opt = 1})
-          .iteration({.iitm = 10, .oitm = 2, .fixed_iterations = true})
-          .build();
-  const auto solver = problem.make_solver();
-  const core::IterationResult result = solver->run();
+  snap::Input input;
+  input.dims = {4, 4, 4};
+  input.twist = 0.001;
+  input.shuffle_seed = 42;
+  input.nang = 4;
+  input.ng = 2;
+  input.mat_opt = 1;
+  input.scattering_ratio = 0.5;
+  input.src_opt = 1;
+  input.iitm = 10;
+  input.oitm = 2;
+  input.fixed_iterations = true;
+  core::TransportSolver reference(input);
+  const core::IterationResult result = reference.run();
 
   expect_bitwise_equal_flux(run.solver()->scalar_flux(),
-                            solver->scalar_flux());
+                            reference.scalar_flux());
   ASSERT_TRUE(record.iteration.has_value());
   EXPECT_EQ(record.iteration->inners, result.inners);
   EXPECT_EQ(record.iteration->outers, result.outers);
   EXPECT_EQ(record.iteration->final_inner_change,
             result.final_inner_change);
+  const core::BalanceReport balance = reference.balance();
+  EXPECT_EQ(record.balance->source, balance.source);
+  EXPECT_EQ(record.balance->absorption, balance.absorption);
+  EXPECT_EQ(record.balance->leakage, balance.leakage);
 }
 
-TEST(Run, CustomRegionRouteMatchesBuilderBitwise) {
-  // The diffusive geometry: custom cross sections assigned by z-threshold
-  // regions, source in the z < 1 slab — deck regions vs C++ lambdas.
-  const std::string deck =
+TEST(Run, RegionRoutesMatchHandFilledDataBitwise) {
+  // The diffusive geometry on a coarse mesh: three materials by z
+  // threshold, a unit source in the z < 1 slab. Each deck below pairs a
+  // material route with a source route; the reference problem data is
+  // built by hand from the same rules.
+  const std::string common =
       "[mesh]\ndims = 4 4 9\nextent = 1 1 3\ntwist = 0.001\n"
       "shuffle_seed = 7\n"
       "[angular]\nnang = 4\nquadrature = product\n"
+      "[iteration]\niitm = 8\noitm = 1\nfixed_iterations = true\n";
+  const std::string region_materials =
       "[materials]\nng = 2\nsigt = 0.1 5 20\nscattering = 0.5 0.9 0.9\n"
       "default_material = 0\n"
       "region = 1 -inf inf -inf inf -inf 1\n"
-      "region = 2 -inf inf -inf inf -inf 1.8\n"
-      "[source]\nregion = 1 -inf inf -inf inf -inf 1\n"
-      "[iteration]\niitm = 8\noitm = 1\nfixed_iterations = true\n";
-  api::Run run(api::read_deck_text(deck));
-  (void)run.execute();
+      "region = 2 -inf inf -inf inf -inf 1.8\n";
+  const std::string region_source =
+      "[source]\nregion = 1 -inf inf -inf inf -inf 1\n";
+
+  snap::Input input;
+  input.dims = {4, 4, 9};
+  input.extent = {1.0, 1.0, 3.0};
+  input.twist = 0.001;
+  input.shuffle_seed = 7;
+  input.nang = 4;
+  input.quadrature = angular::QuadratureKind::Product;
+  input.ng = 2;
+  input.iitm = 8;
+  input.oitm = 1;
+  input.fixed_iterations = true;
+  const auto disc = std::make_shared<const core::Discretization>(input);
+  const mesh::HexMesh& mesh = disc->mesh();
+  const int ne = disc->num_elements();
 
   snap::CrossSections xs;
   xs.num_materials = 3;
@@ -97,34 +126,52 @@ TEST(Run, CustomRegionRouteMatchesBuilderBitwise) {
       xs.siga(m, g) = xs.sigt(m, g) - xs.sigs(m, g);
       xs.slgg(m, g, g) = xs.sigs(m, g);
     }
-  const api::Problem problem =
-      api::ProblemBuilder()
-          .mesh({.dims = {4, 4, 9},
-                 .extent = {1.0, 1.0, 3.0},
-                 .twist = 0.001,
-                 .shuffle_seed = 7})
-          .angular({.nang = 4,
-                    .quadrature = angular::QuadratureKind::Product})
-          .materials({.cross_sections = xs,
-                      .material_map =
-                          [](const fem::Vec3& c) {
-                            if (c[2] < 1.0) return 1;
-                            if (c[2] < 1.8) return 2;
-                            return 0;
-                          }})
-          .source({.profile = [](const fem::Vec3& c,
-                                 int) { return c[2] < 1.0 ? 1.0 : 0.0; }})
-          .iteration({.iitm = 8, .oitm = 1, .fixed_iterations = true})
-          .build();
-  const auto solver = problem.make_solver();
-  (void)solver->run();
+  std::vector<int> material(static_cast<std::size_t>(ne));
+  NDArray<double, 2> qext({static_cast<std::size_t>(ne), 2});
+  for (int e = 0; e < ne; ++e) {
+    const fem::Vec3 c = mesh.centroid(e);
+    material[static_cast<std::size_t>(e)] = c[2] < 1.0 ? 1 : c[2] < 1.8 ? 2 : 0;
+    for (int g = 0; g < 2; ++g) qext(e, g) = c[2] < 1.0 ? 1.0 : 0.0;
+  }
 
-  // Same material assignment element for element, then same flux bits.
-  for (int e = 0; e < problem.discretization().num_elements(); ++e)
-    ASSERT_EQ(run.problem()->data().material[static_cast<std::size_t>(e)],
-              problem.data().material[static_cast<std::size_t>(e)]);
-  expect_bitwise_equal_flux(run.solver()->scalar_flux(),
-                            solver->scalar_flux());
+  const auto check = [&](const std::string& route,
+                         const core::ProblemData& data) {
+    SCOPED_TRACE(route);
+    api::Run run(api::read_deck_text(common + route));
+    (void)run.execute();
+    core::TransportSolver reference(disc, input, data);
+    (void)reference.run();
+    EXPECT_EQ(run.solver()->problem().material, data.material);
+    expect_bitwise_equal_flux(run.solver()->scalar_flux(),
+                              reference.scalar_flux());
+  };
+  check(region_materials + region_source,
+        core::ProblemData(*disc, xs, material, qext));
+  // The two mixed routes no shipped deck uses: generated materials with
+  // region sources, and region materials with SNAP's src_opt placement.
+  check("[materials]\nng = 2\nmat_opt = 1\nscattering_ratio = 0.5\n" +
+            region_source,
+        core::ProblemData(*disc, snap::make_cross_sections(2, 0.5),
+                          snap::assign_materials(mesh, 1), qext));
+  check(region_materials + "[source]\nsrc_opt = 2\n",
+        core::ProblemData(*disc, xs, material,
+                          snap::make_external_source(mesh, 2, 2)));
+}
+
+TEST(Run, SourceRegionBalances) {
+  // Untwisted mesh: element volumes are exact, so the integrated source
+  // (strength 2 in group 0 over x < 0.5) is exactly 2.0 x half the cube.
+  const std::string deck =
+      "[mesh]\ndims = 4 4 4\ntwist = 0\nshuffle_seed = 11\n"
+      "[angular]\nnang = 4\n"
+      "[materials]\nng = 2\nsigt = 1\nscattering = 0.4\n"
+      "[source]\nregion = 2 -inf 0.5 -inf inf -inf inf 0\n"
+      "[iteration]\nepsi = 1e-6\niitm = 50\noitm = 8\n"
+      "fixed_iterations = false\n";
+  const api::RunRecord record = api::Run(api::read_deck_text(deck)).execute();
+  EXPECT_TRUE(record.iteration->converged);
+  EXPECT_NEAR(record.balance->source, 1.0, 1e-10);
+  EXPECT_LT(std::fabs(record.balance->relative()), 1e-4);
 }
 
 TEST(Run, DistributedRouteMatchesBlockJacobiBitwise) {
@@ -139,17 +186,20 @@ TEST(Run, DistributedRouteMatchesBlockJacobiBitwise) {
   api::Run run(api::read_deck_text(deck));
   const api::RunRecord record = run.execute();
 
-  const snap::Input input =
-      api::ProblemBuilder()
-          .mesh({.dims = {6, 6, 6}, .twist = 0.001, .shuffle_seed = 17})
-          .angular({.nang = 4})
-          .materials(
-              {.num_groups = 1, .mat_opt = 1, .scattering_ratio = 0.6})
-          .source({.src_opt = 1})
-          .iteration({.iitm = 10, .oitm = 1, .fixed_iterations = true})
-          .execution({.scheme = snap::ConcurrencyScheme::Serial,
-                      .num_threads = 1})
-          .to_input();
+  snap::Input input;
+  input.dims = {6, 6, 6};
+  input.twist = 0.001;
+  input.shuffle_seed = 17;
+  input.nang = 4;
+  input.ng = 1;
+  input.mat_opt = 1;
+  input.scattering_ratio = 0.6;
+  input.src_opt = 1;
+  input.iitm = 10;
+  input.oitm = 1;
+  input.fixed_iterations = true;
+  input.scheme = snap::ConcurrencyScheme::Serial;
+  input.num_threads = 1;
   comm::BlockJacobiSolver reference(input, 2, 2);
   const comm::DistributedSweepResult ref_result = reference.run();
 
@@ -175,22 +225,22 @@ TEST(Run, MmsRouteMatchesDirectBitwise) {
   const api::RunRecord record = run.execute();
   ASSERT_TRUE(record.mms_l2_error.has_value());
 
-  const api::Problem problem =
-      api::ProblemBuilder()
-          .mesh({.dims = {3, 3, 3},
-                 .twist = 0.01,
-                 .shuffle_seed = 5,
-                 .order = 2})
-          .angular({.nang = 4})
-          .materials(
-              {.num_groups = 1, .mat_opt = 0, .scattering_ratio = 0.0})
-          .iteration({.iitm = 1, .oitm = 1})
-          .build();
-  const auto solver = problem.make_solver();
+  snap::Input input;
+  input.dims = {3, 3, 3};
+  input.twist = 0.01;
+  input.shuffle_seed = 5;
+  input.order = 2;
+  input.nang = 4;
+  input.ng = 1;
+  input.mat_opt = 0;
+  input.scattering_ratio = 0.0;
+  input.iitm = 1;
+  input.oitm = 1;
+  core::TransportSolver solver(input);
   const auto ms = core::ManufacturedSolution::trigonometric();
-  core::apply_manufactured(*solver, ms);
-  (void)solver->run();
-  EXPECT_EQ(*record.mms_l2_error, core::l2_error(*solver, ms));
+  core::apply_manufactured(solver, ms);
+  (void)solver.run();
+  EXPECT_EQ(*record.mms_l2_error, core::l2_error(solver, ms));
 }
 
 TEST(Run, TimeRouteMatchesDirectBitwise) {
@@ -205,15 +255,18 @@ TEST(Run, TimeRouteMatchesDirectBitwise) {
   api::Run run(api::read_deck_text(deck));
   const api::RunRecord record = run.execute();
 
-  const snap::Input input =
-      api::ProblemBuilder()
-          .mesh({.dims = {3, 3, 3}, .twist = 0.001, .shuffle_seed = 21})
-          .angular({.nang = 4})
-          .materials(
-              {.num_groups = 2, .mat_opt = 0, .scattering_ratio = 0.6})
-          .source({.src_opt = 0})
-          .iteration({.iitm = 8, .oitm = 2, .fixed_iterations = true})
-          .to_input();
+  snap::Input input;
+  input.dims = {3, 3, 3};
+  input.twist = 0.001;
+  input.shuffle_seed = 21;
+  input.nang = 4;
+  input.ng = 2;
+  input.mat_opt = 0;
+  input.scattering_ratio = 0.6;
+  input.src_opt = 0;
+  input.iitm = 8;
+  input.oitm = 2;
+  input.fixed_iterations = true;
   const auto disc = std::make_shared<const core::Discretization>(input);
   core::TimeDependentSolver td(
       disc, input, core::TimeDependentSolver::snap_velocities(input.ng),
@@ -228,6 +281,89 @@ TEST(Run, TimeRouteMatchesDirectBitwise) {
     EXPECT_EQ(step.time, direct.time);
     EXPECT_EQ(step.total_density, direct.total_density);
     EXPECT_EQ(step.inners, direct.iteration.inners);
+  }
+}
+
+// --- the single-domain lowering step ---------------------------------------
+
+TEST(Run, SharedDiscretizationReusedAsIs) {
+  api::RunConfig config;
+  config.mesh.dims = {4, 4, 4};
+  config.angular.nang = 2;
+  config.materials.num_groups = 2;
+  config.iteration = {.iitm = 4, .oitm = 1};
+  api::Run first(config);
+  (void)first.execute();
+  api::Run second(config);
+  second.set_shared_discretization(first.shared_discretization());
+  (void)second.execute();
+  EXPECT_EQ(second.shared_discretization(), first.shared_discretization());
+  expect_bitwise_equal_flux(first.solver()->scalar_flux(),
+                            second.solver()->scalar_flux());
+}
+
+TEST(Run, InjectedDiscretizationCheckedInEveryMode) {
+  // A 3^3 discretisation injected into 5^3 decks: every single-domain mode
+  // must refuse it instead of running on the stale mesh.
+  api::RunConfig small;
+  small.mode = api::RunMode::Schedule;
+  small.mesh.dims = {3, 3, 3};
+  small.angular.nang = 2;
+  api::Run build(small);
+  (void)build.execute();
+  const auto disc = build.shared_discretization();
+
+  const std::string library =
+      std::string(UNSNAP_DECK_DIR) + "/xs/criticality.xs";
+  for (const std::string mode : {"solve", "mms", "time", "schedule", "keff"}) {
+    const std::string deck =
+        "[run]\nmode = " + mode + "\n" +
+        "[mesh]\ndims = 5 5 5\n[angular]\nnang = 2\n"
+        "[iteration]\niitm = 1\noitm = 1\n" +
+        (mode == "keff" ? "[xs]\nfile = " + library + "\n"
+                        : std::string("[materials]\nng = 1\n"));
+    api::Run run(api::read_deck_text(deck));
+    run.set_shared_discretization(disc);
+    EXPECT_THROW((void)run.execute(), InvalidInput) << "mode " << mode;
+  }
+
+  // Same grid, other angular set.
+  api::RunConfig finer = small;
+  finer.mode = api::RunMode::Solve;
+  finer.angular.nang = 4;
+  api::Run run(finer);
+  run.set_shared_discretization(disc);
+  EXPECT_THROW((void)run.execute(), InvalidInput);
+}
+
+int os_threads() {
+  int count = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++count;
+  return count;
+}
+
+TEST(Run, DeckThreadCountPinnedBeforeLowering) {
+  // A fresh thread (a daemon worker) starts at the OpenMP default. A
+  // threads = 1 deck must keep every parallel region on that thread —
+  // including the discretisation's element integrals — so no OpenMP pool
+  // threads appear.
+  for (const std::string mode : {"solve", "schedule"}) {
+    int before = 0, after = 0;
+    std::thread worker([&] {
+      omp_set_num_threads(4);
+      before = os_threads();
+      api::Run run(api::read_deck_text(
+          "[run]\nmode = " + mode +
+          "\n[mesh]\ndims = 4 4 4\n[angular]\nnang = 2\n"
+          "[materials]\nng = 1\n[iteration]\niitm = 1\noitm = 1\n"
+          "[execution]\nthreads = 1\n"));
+      (void)run.execute();
+      after = os_threads();
+    });
+    worker.join();
+    EXPECT_EQ(after, before) << "mode " << mode;
   }
 }
 

@@ -93,7 +93,7 @@ TEST(DeckDigest, HexRendersAllSixteenDigits) {
 
 std::shared_ptr<const core::Discretization> lower(const std::string& deck) {
   return std::make_shared<const core::Discretization>(
-      api::read_deck_text(deck).builder().to_input());
+      api::read_deck_text(deck).to_input());
 }
 
 TEST(LoweringCache, HitMissAndLruEviction) {
@@ -143,7 +143,7 @@ TEST(LoweringCache, BundleCarriesThePreassembledOperator) {
   serve::LoweringCache cache(1);
   const auto config = api::read_deck_text(tiny_deck(4, 2));
   const auto disc = lower(tiny_deck(4, 2));
-  core::TransportSolver solver(disc, config.builder().to_input());
+  core::TransportSolver solver(disc, config.to_input());
   solver.enable_preassembly(core::PreassembledOperator::Mode::FactoredLu);
   const auto pre = solver.shared_preassembly();
   ASSERT_NE(pre, nullptr);
