@@ -71,32 +71,39 @@ int main(int argc, char** argv) {
       return count;
     };
 
-    Stopwatch watch;
-    watch.start();
-    long count = for_each_system([&](int, int, int e, int g, const auto& w) {
-      assembler.assemble_matrix(ctx.a.data(), e, g, w);
-    });
-    const double t_mat = watch.stop() / count * 1e6;
+    // Time the kernels at the extent the sweep runs them (fixed 8 x 8 at
+    // order 1, dynamic otherwise).
+    double t_mat = 0.0, t_rhs = 0.0, t_full = 0.0;
+    core::with_extent(*disc, [&](auto ext) {
+      using E = decltype(ext);
+      Stopwatch watch;
+      watch.start();
+      const long count =
+          for_each_system([&](int, int, int e, int g, const auto& w) {
+            assembler.assemble_matrix<E::n, E::nf>(ctx.a.data(), e, g, w);
+          });
+      t_mat = watch.stop() / count * 1e6;
 
-    watch.reset();
-    watch.start();
-    for_each_system([&](int oct, int ang, int e, int g, const auto& w) {
-      assembler.assemble_rhs(ctx, state, oct, ang, e, g, w);
-    });
-    const double t_rhs = watch.stop() / count * 1e6;
+      watch.reset();
+      watch.start();
+      for_each_system([&](int oct, int ang, int e, int g, const auto& w) {
+        assembler.assemble_rhs<E::n, E::nf>(ctx, state, oct, ang, e, g, w);
+      });
+      t_rhs = watch.stop() / count * 1e6;
 
-    // Matrix + solve (fresh matrix per solve, exactly like the sweep).
-    linalg::SolveWorkspace ws;
-    watch.reset();
-    watch.start();
-    for_each_system([&](int oct, int ang, int e, int g, const auto& w) {
-      assembler.assemble_rhs(ctx, state, oct, ang, e, g, w);
-      assembler.assemble_matrix(ctx.a.data(), e, g, w);
-      linalg::solve_in_place(linalg::SolverKind::GaussianElimination,
-                             ctx.a.view(), {ctx.rhs.data(), ctx.rhs.size()},
-                             ws);
+      // Matrix + solve (fresh matrix per solve, exactly like the sweep).
+      linalg::SolveWorkspace ws;
+      watch.reset();
+      watch.start();
+      for_each_system([&](int oct, int ang, int e, int g, const auto& w) {
+        assembler.assemble_rhs<E::n, E::nf>(ctx, state, oct, ang, e, g, w);
+        assembler.assemble_matrix<E::n, E::nf>(ctx.a.data(), e, g, w);
+        linalg::solve_in_place<E::n>(linalg::SolverKind::GaussianElimination,
+                                     ctx.a.view(),
+                                     {ctx.rhs.data(), ctx.rhs.size()}, ws);
+      });
+      t_full = watch.stop() / count * 1e6;
     });
-    const double t_full = watch.stop() / count * 1e6;
     const double t_solve = t_full - t_mat - t_rhs;
 
     std::printf(

@@ -1,6 +1,7 @@
 #include "api/run_config.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -102,9 +103,10 @@ void RunConfig::validate() const {
                 std::to_string(materials.scattering.size()));
     const int nm = static_cast<int>(materials.sigt.size());
     for (const double s : materials.sigt)
-      require(s > 0.0, "materials: sigt entries must be positive");
+      require(std::isfinite(s) && s > 0.0,
+              "materials: sigt entries must be positive and finite");
     for (const double c : materials.scattering)
-      require(c >= 0.0 && c < 1.0,
+      require(std::isfinite(c) && c >= 0.0 && c < 1.0,
               "materials: scattering ratios must be in [0, 1)");
     // The sigt route's cross sections are isotropic: one scattering order.
     require(angular.nmom == 1,

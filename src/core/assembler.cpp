@@ -27,11 +27,12 @@ void AssemblyContext::resize(int n, int nf) {
   workspace.reserve(n);
 }
 
+template <int N, int NF>
 void Assembler::assemble_matrix(double* a, int e, int g,
                                 const Vec3& omega) const {
   const ElementIntegrals& ints = disc_->integrals();
-  const int n = ints.num_nodes();
-  const int nf = ints.nodes_per_face();
+  const int n = linalg::extent<N>(ints.num_nodes());
+  const int nf = linalg::extent<NF>(ints.nodes_per_face());
   const double wx = omega[0], wy = omega[1], wz = omega[2];
   const double st = problem_->sigt_eg(e, g);
 
@@ -64,13 +65,14 @@ void Assembler::assemble_matrix(double* a, int e, int g,
   }
 }
 
+template <int N, int NF>
 void Assembler::assemble_rhs(AssemblyContext& ctx, const SweepState& state,
                              int oct, int a, int e, int g,
                              const Vec3& omega) const {
   const ElementIntegrals& ints = disc_->integrals();
   const mesh::HexMesh& mesh = disc_->mesh();
-  const int n = ints.num_nodes();
-  const int nf = ints.nodes_per_face();
+  const int n = linalg::extent<N>(ints.num_nodes());
+  const int nf = linalg::extent<NF>(ints.nodes_per_face());
   const double wx = omega[0], wy = omega[1], wz = omega[2];
 
   // b = M * (q_in + q_ang + anisotropic moment expansion).
@@ -158,22 +160,24 @@ void Assembler::assemble_rhs(AssemblyContext& ctx, const SweepState& state,
   }
 }
 
+template <int N, int NF>
 void Assembler::process(AssemblyContext& ctx, const SweepState& state,
                         int oct, int a, int e, int g, const Vec3& omega,
                         double weight, linalg::SolverKind solver,
                         bool atomic_phi, bool time_solve) const {
-  const int n = disc_->num_nodes();
-  assemble_rhs(ctx, state, oct, a, e, g, omega);
+  const int n = linalg::extent<N>(disc_->num_nodes());
+  assemble_rhs<N, NF>(ctx, state, oct, a, e, g, omega);
 
   const double* psi;
   if (state.pre != nullptr) {
-    psi = state.pre->apply(ctx, oct, a, e, g);
+    psi = state.pre->apply<N>(ctx, oct, a, e, g);
   } else {
     double* rhs = ctx.rhs.data();
-    assemble_matrix(ctx.a.data(), e, g, omega);
+    assemble_matrix<N, NF>(ctx.a.data(), e, g, omega);
     if (time_solve) ctx.solve_watch.start();
-    linalg::solve_in_place(solver, ctx.a.view(), {rhs, ctx.rhs.size()},
-                           ctx.workspace);
+    linalg::solve_in_place<N>(solver, ctx.a.view(),
+                              {rhs, static_cast<std::size_t>(n)},
+                              ctx.workspace);
     if (time_solve) ctx.solve_seconds += ctx.solve_watch.peek();
     psi = rhs;
   }
@@ -211,5 +215,23 @@ void Assembler::process(AssemblyContext& ctx, const SweepState& state,
     }
   }
 }
+
+template void Assembler::assemble_matrix<8, 4>(double*, int, int,
+                                               const Vec3&) const;
+template void Assembler::assemble_matrix<linalg::kDynamic, linalg::kDynamic>(
+    double*, int, int, const Vec3&) const;
+template void Assembler::assemble_rhs<8, 4>(AssemblyContext&,
+                                            const SweepState&, int, int, int,
+                                            int, const Vec3&) const;
+template void Assembler::assemble_rhs<linalg::kDynamic, linalg::kDynamic>(
+    AssemblyContext&, const SweepState&, int, int, int, int,
+    const Vec3&) const;
+template void Assembler::process<8, 4>(AssemblyContext&, const SweepState&,
+                                       int, int, int, int, const Vec3&,
+                                       double, linalg::SolverKind, bool,
+                                       bool) const;
+template void Assembler::process<linalg::kDynamic, linalg::kDynamic>(
+    AssemblyContext&, const SweepState&, int, int, int, int, const Vec3&,
+    double, linalg::SolverKind, bool, bool) const;
 
 }  // namespace unsnap::core

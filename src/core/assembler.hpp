@@ -91,11 +91,37 @@ struct SweepState {
   int moment_count = 1;
 };
 
+/// Node counts the element kernels are compiled for. Extent<8, 4> is the
+/// order-1 hexahedron (8 nodes, 4 per face): its 8 x 8 systems, face blocks
+/// and node loops get compile-time trip counts and unroll. Every other
+/// order runs the same kernels at Extent<kDynamic, kDynamic>, with the node
+/// counts read at run time; instantiating each order would multiply the
+/// code for systems (27 x 27 and up) whose cost is the O(n^3) arithmetic,
+/// not the loop overhead the fixed extent removes.
+template <int N, int NF>
+struct Extent {
+  static constexpr int n = N;
+  static constexpr int nf = NF;
+};
+
+/// Call f with the kernel extent of `disc`'s element order. Callers pick
+/// it once, outside their element loops.
+template <typename F>
+void with_extent(const Discretization& disc, F&& f) {
+  if (disc.num_nodes() == 8 && disc.nodes_per_face() == 4)
+    f(Extent<8, 4>{});
+  else
+    f(Extent<linalg::kDynamic, linalg::kDynamic>{});
+}
+
 /// The central computation of the paper (Fig. 2): for one
 /// (octant, angle, element, group), build the small dense system
 ///   A = sigma_t M - Omega . G + sum_{outflow f} Omega . F_f
 ///   b = M (q_in + q_ang) - sum_{inflow f} Omega . F_f psi_upwind
 /// solve A psi = b, store psi and accumulate the scalar flux.
+///
+/// The kernels are templates over the extent (N nodes, NF per face; see
+/// Extent), instantiated for <8, 4> and for the dynamic default.
 class Assembler {
  public:
   Assembler(const Discretization& disc, const ProblemData& problem)
@@ -103,9 +129,11 @@ class Assembler {
 
   /// Assemble the matrix only (shared with the pre-assembly engine and the
   /// assembly-cost benchmarks). `a` must hold n*n doubles.
+  template <int N = linalg::kDynamic, int NF = linalg::kDynamic>
   void assemble_matrix(double* a, int e, int g, const Vec3& omega) const;
 
   /// Assemble the right-hand side only into ctx.rhs.
+  template <int N = linalg::kDynamic, int NF = linalg::kDynamic>
   void assemble_rhs(AssemblyContext& ctx, const SweepState& state, int oct,
                     int a, int e, int g, const Vec3& omega) const;
 
@@ -113,6 +141,7 @@ class Assembler {
   /// scatter psi, accumulate phi with quadrature weight `weight`.
   /// atomic_phi selects atomic accumulation (angle-threaded scheme);
   /// time_solve accumulates pure solve time into ctx.solve_seconds.
+  template <int N = linalg::kDynamic, int NF = linalg::kDynamic>
   void process(AssemblyContext& ctx, const SweepState& state, int oct, int a,
                int e, int g, const Vec3& omega, double weight,
                linalg::SolverKind solver, bool atomic_phi,

@@ -1,9 +1,11 @@
 #include "core/preassembly.hpp"
 
+#include <vector>
+
 #include "angular/quadrature.hpp"
 #include "linalg/invert.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
+#include "util/threads.hpp"
 
 namespace unsnap::core {
 
@@ -15,72 +17,64 @@ PreassembledOperator::PreassembledOperator(const Assembler& assembler,
   ne_ = disc.num_elements();
   ng_ = assembler.problem().xs.ng;
   n_ = disc.num_nodes();
+  systems_ = static_cast<std::size_t>(angular::kOctants) * nang_ * ne_ * ng_;
 
-  const auto systems = static_cast<std::size_t>(angular::kOctants) * nang_ *
-                       ne_ * ng_;
   const auto nn = static_cast<std::size_t>(n_) * n_;
-  mats_.resize({systems, nn});
+  mats_ = make_aligned_for_overwrite<double>(systems_ * nn);
   if (mode_ == Mode::FactoredLu)
-    pivots_.resize({systems, static_cast<std::size_t>(n_)});
+    pivots_ = make_aligned_for_overwrite<int>(systems_ * n_);
+  with_extent(disc, [&](auto ext) {
+    using E = decltype(ext);
+    build<E::n, E::nf>(assembler);
+  });
+}
 
+template <int N, int NF>
+void PreassembledOperator::build(const Assembler& assembler) {
+  const Discretization& disc = assembler.discretization();
+  const int n = linalg::extent<N>(n_);
+  const auto nn = static_cast<std::size_t>(n) * n;
+  util::RegionErrors errors;
 #pragma omp parallel
   {
-    linalg::Matrix scratch(n_, n_);
-    std::vector<int> piv(static_cast<std::size_t>(n_));
+    linalg::Matrix scratch(n, n);
+    linalg::Matrix inverse(n, n);
+    std::vector<int> piv(static_cast<std::size_t>(n));
 #pragma omp for collapse(2) schedule(dynamic, 8)
     for (int oct = 0; oct < angular::kOctants; ++oct) {
       for (int a = 0; a < nang_; ++a) {
-        const Vec3 omega = disc.quadrature().direction(oct, a);
-        for (int e = 0; e < ne_; ++e) {
-          for (int g = 0; g < ng_; ++g) {
-            const std::size_t idx = index(oct, a, e, g);
-            double* stored = &mats_(idx, 0);
-            if (mode_ == Mode::FactoredLu) {
-              assembler.assemble_matrix(stored, e, g, omega);
-              linalg::lu_factor(linalg::MatrixView(stored, n_, n_),
-                                {&pivots_(idx, 0),
-                                 static_cast<std::size_t>(n_)});
-            } else {
-              assembler.assemble_matrix(scratch.data(), e, g, omega);
-              linalg::invert(scratch.view(),
-                             linalg::MatrixView(stored, n_, n_), piv);
+        errors.capture([&] {
+          const Vec3 omega = disc.quadrature().direction(oct, a);
+          for (int e = 0; e < ne_; ++e) {
+            for (int g = 0; g < ng_; ++g) {
+              const std::size_t idx = index(oct, a, e, g);
+              double* stored = mats_.get() + idx * nn;
+              if (mode_ == Mode::FactoredLu) {
+                assembler.assemble_matrix<N, NF>(stored, e, g, omega);
+                linalg::lu_factor<N>(
+                    linalg::MatrixView(stored, n, n),
+                    {pivots_.get() + idx * n, static_cast<std::size_t>(n)});
+              } else {
+                assembler.assemble_matrix<N, NF>(scratch.data(), e, g, omega);
+                linalg::invert<N>(scratch.view(), inverse.view(), piv);
+                // Stored column-major: apply() is then n axpys.
+                for (int j = 0; j < n; ++j)
+                  for (int i = 0; i < n; ++i)
+                    stored[static_cast<std::size_t>(j) * n + i] = inverse(i, j);
+              }
             }
           }
-        }
+        });
       }
     }
   }
-}
-
-const double* PreassembledOperator::apply(AssemblyContext& ctx, int oct,
-                                          int a, int e, int g) const {
-  const std::size_t idx = index(oct, a, e, g);
-  const double* stored = &mats_(idx, 0);
-  double* rhs = ctx.rhs.data();
-  if (mode_ == Mode::FactoredLu) {
-    linalg::lu_solve_factored(
-        linalg::ConstMatrixView(stored, n_, n_),
-        {&pivots_(idx, 0), static_cast<std::size_t>(n_)},
-        {rhs, static_cast<std::size_t>(n_)});
-    return rhs;
-  }
-  // ExplicitInverse: psi = A^{-1} b, one dense matvec over the contiguous
-  // stored inverse into the staging scratch (left there — the caller reads
-  // the result row directly instead of paying a copy back into rhs).
-  double* out = ctx.qtmp.data();
-  const int n = n_;
-  for (int i = 0; i < n; ++i) {
-    const double* row = stored + static_cast<std::size_t>(i) * n;
-    double acc = 0.0;
-#pragma omp simd reduction(+ : acc)
-    for (int j = 0; j < n; ++j) acc += row[j] * rhs[j];
-    out[i] = acc;
-  }
-  return out;
+  errors.rethrow();
 }
 
 std::size_t PreassembledOperator::bytes() const {
-  return sizeof(double) * mats_.size() + sizeof(int) * pivots_.size();
+  const auto nn = static_cast<std::size_t>(n_) * n_;
+  return sizeof(double) * systems_ * nn +
+         (pivots_ ? sizeof(int) * systems_ * n_ : 0);
 }
 
 }  // namespace unsnap::core

@@ -3,6 +3,8 @@
 #include <string>
 
 #include "core/assembler.hpp"
+#include "linalg/lu.hpp"
+#include "util/aligned.hpp"
 
 namespace unsnap::core {
 
@@ -15,15 +17,20 @@ class PreassembledOperator {
  public:
   enum class Mode {
     FactoredLu,       // store LU factors + pivots, apply = two triangular solves
-    ExplicitInverse,  // store A^{-1}, apply = one matvec
+    ExplicitInverse,  // store A^{-1} column-major, apply = one matvec
   };
 
+  /// Builds every system in parallel, at the kernel extent of the
+  /// discretisation's element order (see with_extent). The store is not
+  /// zero-filled: the build threads write it first.
   PreassembledOperator(const Assembler& assembler, Mode mode);
 
   /// Solve the system for ctx.rhs and return a pointer to the solution.
   /// FactoredLu solves in place (returns ctx.rhs); ExplicitInverse runs a
   /// contiguous matvec into ctx.qtmp and returns that — no copy-back, the
-  /// caller scatters psi/phi straight from the returned row.
+  /// caller scatters psi/phi straight from the returned row. N is the
+  /// kernel extent the operator was built at.
+  template <int N = linalg::kDynamic>
   const double* apply(AssemblyContext& ctx, int oct, int a, int e,
                       int g) const;
 
@@ -45,12 +52,46 @@ class PreassembledOperator {
  private:
   Mode mode_;
   int nang_, ne_, ng_, n_;
-  NDArray<double, 2> mats_;   // [system][n*n]
-  NDArray<int, 2> pivots_;    // [system][n], FactoredLu only
+  std::size_t systems_;
+  AlignedArray<double> mats_;  // [system][n*n]
+  AlignedArray<int> pivots_;   // [system][n], FactoredLu only
+
+  template <int N, int NF>
+  void build(const Assembler& assembler);
 
   [[nodiscard]] std::size_t index(int oct, int a, int e, int g) const {
     return ((static_cast<std::size_t>(oct) * nang_ + a) * ne_ + e) * ng_ + g;
   }
 };
+
+template <int N>
+const double* PreassembledOperator::apply(AssemblyContext& ctx, int oct,
+                                          int a, int e, int g) const {
+  const int n = linalg::extent<N>(n_);
+  const auto nn = static_cast<std::size_t>(n) * n;
+  const std::size_t idx = index(oct, a, e, g);
+  const double* stored = mats_.get() + idx * nn;
+  double* rhs = ctx.rhs.data();
+  if (mode_ == Mode::FactoredLu) {
+    linalg::lu_solve_factored<N>(
+        linalg::ConstMatrixView(stored, n, n),
+        {pivots_.get() + idx * n, static_cast<std::size_t>(n)},
+        {rhs, static_cast<std::size_t>(n)});
+    return rhs;
+  }
+  // ExplicitInverse: psi = A^{-1} b = sum_j b_j A^{-1}(:, j). The inverse
+  // is stored column-major, so this is n axpys over contiguous columns with
+  // no horizontal sums; the result stays in the staging scratch (the
+  // caller reads it there instead of paying a copy back into rhs).
+  double* out = ctx.qtmp.data();
+  for (int i = 0; i < n; ++i) out[i] = 0.0;
+  for (int j = 0; j < n; ++j) {
+    const double* col = stored + static_cast<std::size_t>(j) * n;
+    const double bj = rhs[j];
+#pragma omp simd
+    for (int i = 0; i < n; ++i) out[i] += col[i] * bj;
+  }
+  return out;
+}
 
 }  // namespace unsnap::core

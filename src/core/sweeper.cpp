@@ -45,6 +45,7 @@ Sweeper::Sweeper(const Assembler& assembler, SweepConfig config)
   }
 }
 
+template <class E>
 void Sweeper::sweep_angle(SweepState state, int oct, int a) {
   const Discretization& disc = assembler_->discretization();
   const sweep::SweepSchedule& schedule = disc.schedules().get(oct, a);
@@ -61,6 +62,7 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
     state.ylm_src = &ylm_src_(oct, a, 0);
   }
 
+  util::RegionErrors errors;
   for (int b = 0; b < schedule.num_buckets(); ++b) {
     const std::span<const int> bucket = schedule.bucket(b);
     const int nb = static_cast<int>(bucket.size());
@@ -71,13 +73,15 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
         if (config_.loop_order == FluxLayout::AngleElementGroup) {
           for (int i = 0; i < nb; ++i)
             for (int g = 0; g < ng; ++g)
-              assembler.process(contexts_[0], state, oct, a, bucket[i], g,
-                                omega, weight, solver, false, time_solve);
+              assembler.process<E::n, E::nf>(contexts_[0], state, oct, a,
+                                             bucket[i], g, omega, weight,
+                                             solver, false, time_solve);
         } else {
           for (int g = 0; g < ng; ++g)
             for (int i = 0; i < nb; ++i)
-              assembler.process(contexts_[0], state, oct, a, bucket[i], g,
-                                omega, weight, solver, false, time_solve);
+              assembler.process<E::n, E::nf>(contexts_[0], state, oct, a,
+                                             bucket[i], g, omega, weight,
+                                             solver, false, time_solve);
         }
         break;
 
@@ -86,10 +90,13 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
         // inside each thread ("angle/element/group" with elements bold).
 #pragma omp parallel for schedule(static)
         for (int i = 0; i < nb; ++i) {
-          AssemblyContext& ctx = contexts_[omp_get_thread_num()];
-          for (int g = 0; g < ng; ++g)
-            assembler.process(ctx, state, oct, a, bucket[i], g, omega,
-                              weight, solver, false, time_solve);
+          errors.capture([&] {
+            AssemblyContext& ctx = contexts_[omp_get_thread_num()];
+            for (int g = 0; g < ng; ++g)
+              assembler.process<E::n, E::nf>(ctx, state, oct, a, bucket[i],
+                                             g, omega, weight, solver, false,
+                                             time_solve);
+          });
         }
         break;
 
@@ -97,10 +104,13 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
         // Thread energy groups; elements serial inside each thread.
 #pragma omp parallel for schedule(static)
         for (int g = 0; g < ng; ++g) {
-          AssemblyContext& ctx = contexts_[omp_get_thread_num()];
-          for (int i = 0; i < nb; ++i)
-            assembler.process(ctx, state, oct, a, bucket[i], g, omega,
-                              weight, solver, false, time_solve);
+          errors.capture([&] {
+            AssemblyContext& ctx = contexts_[omp_get_thread_num()];
+            for (int i = 0; i < nb; ++i)
+              assembler.process<E::n, E::nf>(ctx, state, oct, a, bucket[i],
+                                             g, omega, weight, solver, false,
+                                             time_solve);
+          });
         }
         break;
 
@@ -113,13 +123,16 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
         const bool aeg = config_.loop_order == FluxLayout::AngleElementGroup;
 #pragma omp parallel for schedule(static)
         for (long idx = 0; idx < total; ++idx) {
-          AssemblyContext& ctx = contexts_[omp_get_thread_num()];
-          const int i = aeg ? static_cast<int>(idx / ng)
-                            : static_cast<int>(idx % nb);
-          const int g = aeg ? static_cast<int>(idx % ng)
-                            : static_cast<int>(idx / nb);
-          assembler.process(ctx, state, oct, a, bucket[i], g, omega, weight,
-                            solver, false, time_solve);
+          errors.capture([&] {
+            AssemblyContext& ctx = contexts_[omp_get_thread_num()];
+            const int i = aeg ? static_cast<int>(idx / ng)
+                              : static_cast<int>(idx % nb);
+            const int g = aeg ? static_cast<int>(idx % ng)
+                              : static_cast<int>(idx / nb);
+            assembler.process<E::n, E::nf>(ctx, state, oct, a, bucket[i], g,
+                                           omega, weight, solver, false,
+                                           time_solve);
+          });
         }
         break;
       }
@@ -129,9 +142,11 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
         UNSNAP_ASSERT(false);  // handled at octant level
         break;
     }
+    errors.rethrow();
   }
 }
 
+template <class E>
 void Sweeper::sweep_octant_batched(const SweepState& state, int oct) {
   // Angle batching over same-signature schedules: angles sharing a
   // dependency signature share a bucket list, so one walk of that list
@@ -181,24 +196,30 @@ void Sweeper::sweep_octant_batched(const SweepState& state, int oct) {
       // out the identical iteration blocks a combined `parallel for
       // schedule(static)` would, so flux accumulation order (and thus the
       // golden digests) is unchanged.
+      util::RegionErrors errors;
 #pragma omp parallel
       {
         OBS_SPAN("sweep.batch", "bucket", b, "elements", nb);
         AssemblyContext& ctx = contexts_[omp_get_thread_num()];
 #pragma omp for schedule(static)
         for (int i = 0; i < nb; ++i) {
-          const int e = bucket[i];
-          for (const BatchAngle& ba : batch_angles_) {
-            for (int g = 0; g < ng; ++g)
-              assembler.process(ctx, ba.state, oct, ba.a, e, g, ba.omega,
-                                ba.weight, solver, false, time_solve);
-          }
+          errors.capture([&] {
+            const int e = bucket[i];
+            for (const BatchAngle& ba : batch_angles_) {
+              for (int g = 0; g < ng; ++g)
+                assembler.process<E::n, E::nf>(ctx, ba.state, oct, ba.a, e,
+                                               g, ba.omega, ba.weight, solver,
+                                               false, time_solve);
+            }
+          });
         }
       }
+      errors.rethrow();
     }
   }
 }
 
+template <class E>
 void Sweeper::sweep_octant_angles_atomic(const SweepState& state, int oct) {
   // Thread over the independent angles of the octant (paper §IV-A-3).
   // Every thread walks its own angle's schedule serially; the shared
@@ -208,27 +229,32 @@ void Sweeper::sweep_octant_angles_atomic(const SweepState& state, int oct) {
   const int nang = disc.nang();
   const int ng = config_.ng;
 
+  util::RegionErrors errors;
 #pragma omp parallel for schedule(dynamic, 1)
   for (int a = 0; a < nang; ++a) {
-    AssemblyContext& ctx = contexts_[omp_get_thread_num()];
-    SweepState local = state;  // per-angle coefficient rows
-    if (config_.nmom > 1) {
-      local.moment_count = config_.nmom * config_.nmom;
-      local.ylm_acc = &ylm_acc_(oct, a, 0);
-      local.ylm_src = &ylm_src_(oct, a, 0);
-    }
-    const sweep::SweepSchedule& schedule = disc.schedules().get(oct, a);
-    local.schedule = &schedule;
-    const Vec3 omega = disc.quadrature().direction(oct, a);
-    const double weight = disc.quadrature().weight(a);
-    for (int b = 0; b < schedule.num_buckets(); ++b) {
-      for (const int e : schedule.bucket(b))
-        for (int g = 0; g < ng; ++g)
-          assembler_->process(ctx, local, oct, a, e, g, omega, weight,
-                              config_.solver, /*atomic_phi=*/true,
-                              config_.time_solve);
-    }
+    errors.capture([&] {
+      AssemblyContext& ctx = contexts_[omp_get_thread_num()];
+      SweepState local = state;  // per-angle coefficient rows
+      if (config_.nmom > 1) {
+        local.moment_count = config_.nmom * config_.nmom;
+        local.ylm_acc = &ylm_acc_(oct, a, 0);
+        local.ylm_src = &ylm_src_(oct, a, 0);
+      }
+      const sweep::SweepSchedule& schedule = disc.schedules().get(oct, a);
+      local.schedule = &schedule;
+      const Vec3 omega = disc.quadrature().direction(oct, a);
+      const double weight = disc.quadrature().weight(a);
+      for (int b = 0; b < schedule.num_buckets(); ++b) {
+        for (const int e : schedule.bucket(b))
+          for (int g = 0; g < ng; ++g)
+            assembler_->process<E::n, E::nf>(ctx, local, oct, a, e, g, omega,
+                                             weight, config_.solver,
+                                             /*atomic_phi=*/true,
+                                             config_.time_solve);
+      }
+    });
   }
+  errors.rethrow();
 }
 
 void Sweeper::ensure_contexts() {
@@ -257,14 +283,17 @@ void Sweeper::sweep_octant(SweepState& state, int oct) {
            assembler_->discretization().num_elements());
   Stopwatch watch;
   watch.start();
-  const int nang = assembler_->discretization().nang();
-  if (config_.scheme == ConcurrencyScheme::AnglesAtomic) {
-    sweep_octant_angles_atomic(state, oct);
-  } else if (config_.scheme == ConcurrencyScheme::AngleBatch) {
-    sweep_octant_batched(state, oct);
-  } else {
-    for (int a = 0; a < nang; ++a) sweep_angle(state, oct, a);
-  }
+  const Discretization& disc = assembler_->discretization();
+  with_extent(disc, [&](auto ext) {
+    using E = decltype(ext);
+    if (config_.scheme == ConcurrencyScheme::AnglesAtomic) {
+      sweep_octant_angles_atomic<E>(state, oct);
+    } else if (config_.scheme == ConcurrencyScheme::AngleBatch) {
+      sweep_octant_batched<E>(state, oct);
+    } else {
+      for (int a = 0; a < disc.nang(); ++a) sweep_angle<E>(state, oct, a);
+    }
+  });
   sweep_seconds_ += watch.stop();
 }
 

@@ -73,8 +73,13 @@ class Sweeper {
   NDArray<double, 3> ylm_acc_;
   NDArray<double, 3> ylm_src_;
 
+  // The per-scheme loops, templated on the kernel extent E (an Extent<N,
+  // NF>) that sweep_octant picks once per octant.
+  template <class E>
   void sweep_angle(SweepState state, int oct, int a);
+  template <class E>
   void sweep_octant_angles_atomic(const SweepState& state, int oct);
+  template <class E>
   void sweep_octant_batched(const SweepState& state, int oct);
   /// Grow the per-thread scratch if the OpenMP thread count was raised
   /// after construction (contexts_[omp_get_thread_num()] must never be

@@ -31,31 +31,31 @@ void gemm_subtract(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
   }
 }
 
+template <int N>
 void trsm_lower_unit(ConstMatrixView l, MatrixView b) {
-  UNSNAP_ASSERT(l.rows() == l.cols() && l.rows() == b.rows());
-  const int m = l.rows(), n = b.cols();
+  const int m = extent<N>(l.rows());
+  const int n = extent<N>(b.cols());
+  const int ldl = extent<N>(l.row_stride());
+  const int ldb = extent<N>(b.row_stride());
+  UNSNAP_ASSERT(l.rows() == m && l.cols() == m && b.rows() == m &&
+                b.cols() == n && l.row_stride() == ldl &&
+                b.row_stride() == ldb);
+  const double* const lp = l.data();
+  double* const bp = b.data();
   for (int i = 1; i < m; ++i) {
-    double* bi = b.row(i);
+    double* bi = bp + i * ldb;
     for (int k = 0; k < i; ++k) {
-      const double lik = l(i, k);
+      const double lik = lp[i * ldl + k];
       if (lik == 0.0) continue;
-      const double* bk = b.row(k);
+      const double* bk = bp + k * ldb;
 #pragma omp simd
       for (int j = 0; j < n; ++j) bi[j] -= lik * bk[j];
     }
   }
 }
 
-void ger_subtract(const double* col, int col_stride, const double* row, int m,
-                  int n, MatrixView a) {
-  for (int i = 0; i < m; ++i) {
-    const double ci = col[static_cast<std::size_t>(i) * col_stride];
-    if (ci == 0.0) continue;
-    double* arow = a.row(i);
-#pragma omp simd
-    for (int j = 0; j < n; ++j) arow[j] -= ci * row[j];
-  }
-}
+template void trsm_lower_unit<8>(ConstMatrixView, MatrixView);
+template void trsm_lower_unit<kDynamic>(ConstMatrixView, MatrixView);
 
 double dot(std::span<const double> x, std::span<const double> y) {
   UNSNAP_ASSERT(x.size() == y.size());

@@ -17,13 +17,11 @@ void gemm_subtract(ConstMatrixView a, ConstMatrixView b, MatrixView c);
 
 /// Solve L * X = B in place where L is the unit-lower-triangular factor
 /// stored in the given square matrix (diagonal implicitly 1). B is
-/// overwritten with X. Shapes: L (m x m), B (m x n).
+/// overwritten with X. Shapes: L (m x m), B (m x n). N is the kernel
+/// extent (matrix.hpp): N = 8 takes contiguous 8 x 8 operands, kDynamic
+/// (the default) any shape.
+template <int N = kDynamic>
 void trsm_lower_unit(ConstMatrixView l, MatrixView b);
-
-/// Rank-1 update used by the unblocked panel factorisation:
-/// A22 -= col * row where col is (m x 1) and row is (1 x n).
-void ger_subtract(const double* col, int col_stride, const double* row, int m,
-                  int n, MatrixView a);
 
 /// Flat-vector (level-1) kernels backing the matrix-free Krylov solvers in
 /// accel/: the vectors are NodalField storage viewed as one long array.

@@ -25,31 +25,39 @@ void swap_row_range(MatrixView a, int i, int j, int c0, int c1) {
   throw NumericalError("lu_factor: zero pivot at column " + std::to_string(k));
 }
 
-// Right-looking unblocked LU over the rectangular panel rows x cols.
-// Pivot search runs over the full row range; pivots are recorded relative to
-// the panel's first row.
+// Right-looking unblocked LU over the rectangular panel rows x cols (N x N
+// when the extent is fixed). Pivot search runs over the full row range;
+// pivots are recorded relative to the panel's first row.
+template <int N>
 void factor_panel(MatrixView panel, std::span<int> pivots) {
-  const int m = panel.rows();
-  const int n = panel.cols();
+  const int m = extent<N>(panel.rows());
+  const int n = extent<N>(panel.cols());
+  const int ld = extent<N>(panel.row_stride());
+  UNSNAP_ASSERT(panel.rows() == m && panel.cols() == n &&
+                panel.row_stride() == ld);
+  double* const p = panel.data();
   const int steps = std::min(m, n);
   for (int k = 0; k < steps; ++k) {
+    double* rk = p + k * ld;
     int piv = k;
-    double best = std::fabs(panel(k, k));
+    double best = std::fabs(rk[k]);
     for (int i = k + 1; i < m; ++i) {
-      const double v = std::fabs(panel(i, k));
+      const double v = std::fabs(p[i * ld + k]);
       if (v > best) best = v, piv = i;
     }
     pivots[k] = piv;
-    if (piv != k) swap_row_range(panel, k, piv, 0, n);
-    const double diag = panel(k, k);
+    if (piv != k) std::swap_ranges(rk, rk + n, p + piv * ld);
+    const double diag = rk[k];
     if (diag == 0.0 || !std::isfinite(diag)) zero_pivot(k);
     const double inv = 1.0 / diag;
-    for (int i = k + 1; i < m; ++i) panel(i, k) *= inv;
-    if (k + 1 < n) {
-      // A22 -= l21 * u12 (rank-1 update).
-      ger_subtract(&panel(k + 1, k), panel.row_stride(), &panel(k, k + 1),
-                   m - k - 1, n - k - 1,
-                   panel.block(k + 1, k + 1, m - k - 1, n - k - 1));
+    // Scale l21, then the rank-1 update A22 -= l21 * u12.
+    for (int i = k + 1; i < m; ++i) p[i * ld + k] *= inv;
+    for (int i = k + 1; i < m; ++i) {
+      double* ri = p + i * ld;
+      const double li = ri[k];
+      if (li == 0.0) continue;
+#pragma omp simd
+      for (int j = k + 1; j < n; ++j) ri[j] -= li * rk[j];
     }
   }
 }
@@ -59,16 +67,17 @@ void factor_panel(MatrixView panel, std::span<int> pivots) {
 void lu_factor_unblocked(MatrixView a, std::span<int> pivots) {
   UNSNAP_ASSERT(a.rows() == a.cols());
   UNSNAP_ASSERT(static_cast<int>(pivots.size()) >= a.rows());
-  factor_panel(a, pivots);
+  factor_panel<kDynamic>(a, pivots);
 }
 
+template <int N>
 void lu_factor(MatrixView a, std::span<int> pivots) {
-  const int n = a.rows();
-  UNSNAP_ASSERT(a.cols() == n);
+  const int n = extent<N>(a.rows());
+  UNSNAP_ASSERT(a.rows() == n && a.cols() == n);
   UNSNAP_ASSERT(static_cast<int>(pivots.size()) >= n);
 
   if (n < kBlockedThreshold) {
-    factor_panel(a, pivots);
+    factor_panel<N>(a, pivots);
     return;
   }
 
@@ -76,8 +85,8 @@ void lu_factor(MatrixView a, std::span<int> pivots) {
     const int nb = std::min(kPanel, n - k0);
     // Factor the current panel (all rows below and including the diagonal
     // block, nb columns wide).
-    factor_panel(a.block(k0, k0, n - k0, nb),
-                 pivots.subspan(k0, static_cast<std::size_t>(nb)));
+    factor_panel<kDynamic>(a.block(k0, k0, n - k0, nb),
+                           pivots.subspan(k0, static_cast<std::size_t>(nb)));
     // Panel pivots are relative to row k0; rebase and apply the swaps to
     // the columns left and right of the panel.
     for (int k = k0; k < k0 + nb; ++k) {
@@ -98,10 +107,14 @@ void lu_factor(MatrixView a, std::span<int> pivots) {
   }
 }
 
+template <int N>
 void lu_solve_factored(ConstMatrixView lu, std::span<const int> pivots,
                        std::span<double> b) {
-  const int n = lu.rows();
-  UNSNAP_ASSERT(lu.cols() == n && static_cast<int>(b.size()) == n);
+  const int n = extent<N>(lu.rows());
+  const int ld = extent<N>(lu.row_stride());
+  UNSNAP_ASSERT(lu.rows() == n && lu.cols() == n && lu.row_stride() == ld &&
+                static_cast<int>(b.size()) == n);
+  const double* const f = lu.data();
 
   // Apply row interchanges to b.
   for (int k = 0; k < n; ++k)
@@ -109,7 +122,7 @@ void lu_solve_factored(ConstMatrixView lu, std::span<const int> pivots,
 
   // Forward substitution with unit-lower L.
   for (int i = 1; i < n; ++i) {
-    const double* ri = lu.row(i);
+    const double* ri = f + i * ld;
     double acc = 0.0;
 #pragma omp simd reduction(+ : acc)
     for (int j = 0; j < i; ++j) acc += ri[j] * b[j];
@@ -118,7 +131,7 @@ void lu_solve_factored(ConstMatrixView lu, std::span<const int> pivots,
 
   // Back substitution with U.
   for (int i = n - 1; i >= 0; --i) {
-    const double* ri = lu.row(i);
+    const double* ri = f + i * ld;
     double acc = 0.0;
 #pragma omp simd reduction(+ : acc)
     for (int j = i + 1; j < n; ++j) acc += ri[j] * b[j];
@@ -128,10 +141,23 @@ void lu_solve_factored(ConstMatrixView lu, std::span<const int> pivots,
   }
 }
 
+template <int N>
 void lapack_style_solve(MatrixView a, std::span<double> b,
                         std::span<int> pivots) {
-  lu_factor(a, pivots);
-  lu_solve_factored(a, pivots, b);
+  lu_factor<N>(a, pivots);
+  lu_solve_factored<N>(a, pivots, b);
 }
+
+template void lu_factor<8>(MatrixView, std::span<int>);
+template void lu_factor<kDynamic>(MatrixView, std::span<int>);
+template void lu_solve_factored<8>(ConstMatrixView, std::span<const int>,
+                                   std::span<double>);
+template void lu_solve_factored<kDynamic>(ConstMatrixView,
+                                          std::span<const int>,
+                                          std::span<double>);
+template void lapack_style_solve<8>(MatrixView, std::span<double>,
+                                    std::span<int>);
+template void lapack_style_solve<kDynamic>(MatrixView, std::span<double>,
+                                           std::span<int>);
 
 }  // namespace unsnap::linalg

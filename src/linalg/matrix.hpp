@@ -8,6 +8,18 @@
 
 namespace unsnap::linalg {
 
+/// Extent of a dense kernel instantiation. The small-system kernels are
+/// templates over the system size N: a positive N fixes it at compile time
+/// (the order-1 element's 8 x 8 systems, whose loops then unroll), and
+/// kDynamic reads it from the arguments. Both run the same body.
+inline constexpr int kDynamic = 0;
+
+/// The size an extent-N kernel works at: N when fixed, else the run-time n.
+template <int N>
+[[nodiscard]] constexpr int extent(int n) {
+  return N == kDynamic ? n : N;
+}
+
 /// Non-owning view of a dense row-major matrix. Row-major (C layout) is
 /// used throughout UnSNAP: the assembly kernel writes matrix rows
 /// contiguously while vectorising over the column (trial node) index.

@@ -25,20 +25,26 @@ SolverKind solver_from_string(const std::string& name) {
                      "' (expected ge, ge-nopivot or lu)");
 }
 
+template <int N>
 void solve_in_place(SolverKind kind, MatrixView a, std::span<double> b,
                     SolveWorkspace& workspace) {
   switch (kind) {
     case SolverKind::GaussianElimination:
-      gauss_solve(a, b);
+      gauss_solve<N>(a, b);
       return;
     case SolverKind::GaussianEliminationNoPivot:
-      gauss_solve_nopivot(a, b);
+      gauss_solve_nopivot<N>(a, b);
       return;
     case SolverKind::LapackLu:
-      lapack_style_solve(a, b, workspace.pivots(a.rows()));
+      lapack_style_solve<N>(a, b, workspace.pivots(a.rows()));
       return;
   }
   UNSNAP_ASSERT(false);
 }
+
+template void solve_in_place<8>(SolverKind, MatrixView, std::span<double>,
+                                SolveWorkspace&);
+template void solve_in_place<kDynamic>(SolverKind, MatrixView,
+                                       std::span<double>, SolveWorkspace&);
 
 }  // namespace unsnap::linalg

@@ -38,7 +38,9 @@ class SolveWorkspace {
 };
 
 /// Solve A x = b in place with the requested solver; A and b are destroyed
-/// and b holds the solution on return.
+/// and b holds the solution on return. N is the kernel extent (matrix.hpp):
+/// 8 for the order-1 element's systems, kDynamic (the default) otherwise.
+template <int N = kDynamic>
 void solve_in_place(SolverKind kind, MatrixView a, std::span<double> b,
                     SolveWorkspace& workspace);
 

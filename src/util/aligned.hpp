@@ -3,7 +3,9 @@
 #include <cstddef>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 namespace unsnap {
@@ -44,5 +46,26 @@ class AlignedAllocator {
 /// Vector of doubles aligned for SIMD access.
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
+
+/// Deleter returning AlignedAllocator storage.
+template <typename T>
+struct AlignedDelete {
+  void operator()(T* p) const noexcept {
+    AlignedAllocator<T>().deallocate(p, 0);
+  }
+};
+
+/// Owning aligned array whose elements start uninitialised.
+template <typename T>
+using AlignedArray = std::unique_ptr<T[], AlignedDelete<T>>;
+
+/// `count` aligned, uninitialised Ts, for a large store that is written in
+/// full before it is read: its pages are then first touched by the threads
+/// that fill it, instead of by a serial zero-fill.
+template <typename T>
+[[nodiscard]] AlignedArray<T> make_aligned_for_overwrite(std::size_t count) {
+  static_assert(std::is_trivially_default_constructible_v<T>);
+  return AlignedArray<T>(AlignedAllocator<T>().allocate(count));
+}
 
 }  // namespace unsnap

@@ -176,6 +176,10 @@ double parse_double(const std::string& source, const Token& t) {
   const double v = std::strtod(begin, &end);
   if (end == begin || *end != '\0')
     fail(source, t, "expected a number, got '" + t.text + "'");
+  // strtod reads inf and nan, which every range check below would let
+  // through (nan compares false) and the sweep would only meet as a pivot.
+  if (!std::isfinite(v))
+    fail(source, t, "expected a finite number, got '" + t.text + "'");
   return v;
 }
 

@@ -136,6 +136,18 @@ TEST(DeckBinding, GoldenMalformedDeckMessages) {
   expect_bind_error("[materials]\nregion = 0 -inf inf -inf inf -inf inf\n",
                     "t.inp: materials: region/scattering lists need a sigt "
                     "list");
+  // Non-finite cross sections are refused before the sweep meets them as
+  // a non-finite pivot.
+  expect_bind_error("[materials]\nsigt = 1 inf\nscattering = 0 0\n",
+                    "t.inp: materials: sigt entries must be positive and "
+                    "finite");
+  expect_bind_error("[materials]\nsigt = nan 1\nscattering = 0 0\n",
+                    "t.inp: materials: sigt entries must be positive and "
+                    "finite");
+  expect_bind_error("[materials]\nsigt = 1 1\nscattering = 0 nan\n",
+                    "t.inp: materials: scattering ratios must be in [0, 1)");
+  expect_bind_error("[materials]\nsigt = 1 1\nscattering = inf 0\n",
+                    "t.inp: materials: scattering ratios must be in [0, 1)");
   expect_bind_error("[decomposition]\npx = 2\n"
                     "[execution]\npreassembly = factored-lu\n",
                     "t.inp: execution: preassembly requires a single-domain "

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <type_traits>
 
 #include "linalg/blas_like.hpp"
 #include "linalg/gauss_elim.hpp"
@@ -212,6 +215,134 @@ TEST(LuFactorSolve, ReusableFactorisation) {
     lu_solve_factored(lu.view(), piv, x);
     EXPECT_LT(residual_norm(a0, x, b0), 1e-10 * n);
   }
+}
+
+// ---- fixed extent (N = 8) against the dynamic extent ---------------------
+
+// A diagonally dominant 8 x 8 system with its rows reversed: the largest
+// entry of each column starts off the diagonal, so partial pivoting has to
+// swap rows.
+Matrix pivot_forcing_system(Rng& rng) {
+  const Matrix dominant = random_system(8, rng);
+  Matrix a(8, 8);
+  for (int i = 0; i < 8; ++i)
+    for (int j = 0; j < 8; ++j) a(i, j) = dominant(7 - i, j);
+  return a;
+}
+
+void expect_relative_match(std::span<const double> fixed,
+                           std::span<const double> dynamic) {
+  ASSERT_EQ(fixed.size(), dynamic.size());
+  double scale = 0.0;
+  for (const double v : dynamic) scale = std::max(scale, std::fabs(v));
+  for (std::size_t i = 0; i < fixed.size(); ++i)
+    EXPECT_NEAR(fixed[i], dynamic[i], 1e-14 * scale) << "entry " << i;
+}
+
+class FixedExtent : public ::testing::TestWithParam<bool> {
+ protected:
+  // The parameter selects pivot-forcing systems over dominant ones.
+  Matrix system(Rng& rng) const {
+    return GetParam() ? pivot_forcing_system(rng) : random_system(8, rng);
+  }
+};
+
+TEST_P(FixedExtent, EliminationMatchesDynamic) {
+  Rng rng(GetParam() ? 810 : 800);
+  for (int trial = 0; trial < 16; ++trial) {
+    const Matrix a0 = system(rng);
+    const std::vector<double> b0 = random_vector(8, rng);
+    for (const auto kind :
+         {SolverKind::GaussianElimination, SolverKind::LapackLu}) {
+      SCOPED_TRACE(to_string(kind));
+      Matrix a8 = a0, ad = a0;
+      std::vector<double> x8 = b0, xd = b0;
+      SolveWorkspace ws;
+      solve_in_place<8>(kind, a8.view(), x8, ws);
+      solve_in_place(kind, ad.view(), xd, ws);
+      expect_relative_match(x8, xd);
+      EXPECT_LT(residual_norm(a0, x8, b0), 1e-12);
+    }
+  }
+}
+
+TEST_P(FixedExtent, InverseMatchesDynamic) {
+  Rng rng(GetParam() ? 830 : 820);
+  for (int trial = 0; trial < 16; ++trial) {
+    const Matrix a0 = system(rng);
+    Matrix a8 = a0, ad = a0, inv8(8, 8), invd(8, 8);
+    std::vector<int> piv(8);
+    invert<8>(a8.view(), inv8.view(), piv);
+    invert(ad.view(), invd.view(), piv);
+    expect_relative_match({inv8.data(), 64}, {invd.data(), 64});
+    Matrix prod(8, 8);
+    matmul_accumulate(inv8.view(), a0.view(), prod.view());
+    for (int i = 0; i < 8; ++i)
+      for (int j = 0; j < 8; ++j)
+        EXPECT_NEAR(prod(i, j), i == j ? 1.0 : 0.0, 1e-12);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DominantAndPivotForcing, FixedExtent,
+                         ::testing::Bool());
+
+// The message of the NumericalError `solve` throws.
+template <typename F>
+std::string numerical_error_text(F&& solve) {
+  try {
+    solve();
+  } catch (const NumericalError& err) {
+    return err.what();
+  }
+  return "no NumericalError";
+}
+
+TEST(FixedExtentErrors, SingularThrowsTheDynamicText) {
+  // Column 3 is zero, and elimination keeps it exactly zero: every
+  // solver meets a zero pivot at column 3.
+  Rng rng(840);
+  Matrix a0 = random_system(8, rng);
+  for (int i = 0; i < 8; ++i) a0(i, 3) = 0.0;
+  const std::vector<double> b0 = random_vector(8, rng);
+  for (const auto kind :
+       {SolverKind::GaussianElimination, SolverKind::GaussianEliminationNoPivot,
+        SolverKind::LapackLu}) {
+    SCOPED_TRACE(to_string(kind));
+    const auto run = [&](auto extent_tag) {
+      Matrix a = a0;
+      std::vector<double> x = b0;
+      SolveWorkspace ws;
+      return numerical_error_text([&] {
+        solve_in_place<decltype(extent_tag)::value>(kind, a.view(), x, ws);
+      });
+    };
+    const std::string fixed = run(std::integral_constant<int, 8>{});
+    EXPECT_NE(fixed.find("zero pivot at column 3"), std::string::npos)
+        << fixed;
+    EXPECT_EQ(fixed, run(std::integral_constant<int, kDynamic>{}));
+  }
+  const auto inverse_error = [&](auto extent_tag) {
+    Matrix a = a0, inv(8, 8);
+    std::vector<int> piv(8);
+    return numerical_error_text([&] {
+      invert<decltype(extent_tag)::value>(a.view(), inv.view(), piv);
+    });
+  };
+  const std::string fixed = inverse_error(std::integral_constant<int, 8>{});
+  EXPECT_NE(fixed.find("zero pivot at column 3"), std::string::npos) << fixed;
+  EXPECT_EQ(fixed, inverse_error(std::integral_constant<int, kDynamic>{}));
+
+  // A non-finite pivot throws the same text at either extent.
+  Matrix inf8 = a0;
+  inf8(0, 0) = std::numeric_limits<double>::infinity();
+  Matrix infd = inf8;
+  std::vector<double> x8 = b0, xd = b0;
+  const std::string inf_text =
+      numerical_error_text([&] { gauss_solve<8>(inf8.view(), x8); });
+  EXPECT_NE(inf_text.find("zero pivot at column 0"), std::string::npos)
+      << inf_text;
+  EXPECT_EQ(inf_text,
+            numerical_error_text([&] { gauss_solve(infd.view(), xd); }));
 }
 
 TEST(SolverDispatch, AllKindsAgree) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "core/preassembly.hpp"
 #include "core/transport_solver.hpp"
+#include "linalg/gauss_elim.hpp"
 
 namespace unsnap::core {
 namespace {
@@ -72,6 +74,59 @@ INSTANTIATE_TEST_SUITE_P(
     Modes, PreassemblyMode,
     ::testing::Values(PreassembledOperator::Mode::FactoredLu,
                       PreassembledOperator::Mode::ExplicitInverse));
+
+// One system at a time: psi through the stored inverse against
+// assemble-and-solve, on a converged state so every upwind trace is live.
+template <int N, int NF>
+void expect_apply_matches_solve(int order) {
+  TransportSolver solver(pre_input(order));
+  solver.run();
+  const Discretization& disc = solver.discretization();
+  const int n = disc.num_nodes();
+  ASSERT_TRUE(N == linalg::kDynamic || N == n);
+  const Assembler assembler(disc, solver.problem());
+  const PreassembledOperator pre(assembler,
+                                 PreassembledOperator::Mode::ExplicitInverse);
+  AngularFlux psi = solver.angular_flux();
+  NodalField phi = solver.scalar_flux();
+  const NodalField q = solver.scalar_flux();
+  SweepState state;
+  state.psi = &psi;
+  state.phi = &phi;
+  state.qin = &q;
+  AssemblyContext ctx;
+  ctx.resize(n, disc.nodes_per_face());
+  linalg::Matrix a(n, n);
+  std::vector<double> solved(static_cast<std::size_t>(n));
+  for (int oct = 0; oct < angular::kOctants; ++oct)
+    for (int ang = 0; ang < disc.nang(); ++ang) {
+      state.schedule = &disc.schedules().get(oct, ang);
+      const Vec3 omega = disc.quadrature().direction(oct, ang);
+      for (int e = 0; e < disc.num_elements(); e += 5)
+        for (int g = 0; g < solver.problem().xs.ng; ++g) {
+          assembler.assemble_rhs<N, NF>(ctx, state, oct, ang, e, g, omega);
+          solved.assign(ctx.rhs.begin(), ctx.rhs.end());
+          assembler.assemble_matrix<N, NF>(a.data(), e, g, omega);
+          linalg::gauss_solve<N>(a.view(), solved);
+          const double* applied = pre.apply<N>(ctx, oct, ang, e, g);
+          double scale = 0.0;
+          for (const double v : solved) scale = std::max(scale, std::fabs(v));
+          for (int i = 0; i < n; ++i)
+            ASSERT_NEAR(applied[i], solved[static_cast<std::size_t>(i)],
+                        1e-12 * scale)
+                << "oct " << oct << " angle " << ang << " element " << e
+                << " group " << g << " node " << i;
+        }
+    }
+}
+
+TEST(PreassemblyApply, MatchesAssembleAndSolveAtTheFixedExtent) {
+  expect_apply_matches_solve<8, 4>(1);
+}
+
+TEST(PreassemblyApply, MatchesAssembleAndSolveAtTheDynamicExtent) {
+  expect_apply_matches_solve<linalg::kDynamic, linalg::kDynamic>(2);
+}
 
 TEST(PreassemblyFootprint, MatchesPaperFactorEight) {
   // Paper §IV-B-1: for linear elements the pre-assembled matrices cost a

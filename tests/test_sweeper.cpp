@@ -3,6 +3,9 @@
 #include <omp.h>
 
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/transport_solver.hpp"
@@ -171,6 +174,47 @@ TEST(Sweeper, ScalarFluxIsWeightedAngularSum) {
                   1e-13 * (1.0 + std::fabs(acc)));
     }
   }
+}
+
+// A NumericalError raised by a kernel inside an OpenMP region (a sweep
+// loop or the operator build) reaches the caller instead of calling
+// std::terminate. The total cross section of the only material is inf, so
+// every element's pivot is non-finite.
+TEST(Sweeper, NonFinitePivotThrowsOnTheCallingThread) {
+  const int before = omp_get_max_threads();
+  const std::optional<PreassembledOperator::Mode> modes[] = {
+      std::nullopt, PreassembledOperator::Mode::FactoredLu,
+      PreassembledOperator::Mode::ExplicitInverse};
+  for (const ConcurrencyScheme scheme :
+       {ConcurrencyScheme::ElementsGroups, ConcurrencyScheme::AngleBatch,
+        ConcurrencyScheme::Elements, ConcurrencyScheme::Groups,
+        ConcurrencyScheme::AnglesAtomic})
+    for (const int threads : {1, 2})
+      for (const auto& mode : modes) {
+        SCOPED_TRACE(snap::to_string(scheme) + " x " +
+                     std::to_string(threads) + " threads, preassembly " +
+                     (mode ? PreassembledOperator::to_string(*mode)
+                           : std::string("none")));
+        snap::Input input = sweep_input();
+        input.ng = 2;
+        input.scheme = scheme;
+        input.num_threads = threads;
+        const auto disc = std::make_shared<const Discretization>(input);
+        snap::CrossSections xs = snap::make_cross_sections(input.ng, 0.0);
+        for (int g = 0; g < input.ng; ++g)
+          xs.sigt(0, g) = std::numeric_limits<double>::infinity();
+        const auto ne = static_cast<std::size_t>(disc->num_elements());
+        ProblemData data(*disc, std::move(xs), std::vector<int>(ne, 0),
+                         NDArray<double, 2>({ne, 2}, 1.0));
+        EXPECT_THROW(
+            {
+              TransportSolver solver(disc, input, std::move(data));
+              if (mode) solver.enable_preassembly(*mode);
+              solver.run();
+            },
+            NumericalError);
+      }
+  omp_set_num_threads(before);
 }
 
 }  // namespace

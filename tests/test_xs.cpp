@@ -178,6 +178,30 @@ TEST(XsLibrary, GoldenParserErrors) {
       "section");
   expect_library_error("groups 1\nmaterial a\nsigt 1\n",
                        "t.xs:2:1: material 'a' is not closed (missing end)");
+  // strtod reads inf and nan (and overflows to inf); every cross-section
+  // value and velocity must be finite.
+  expect_library_error("groups 1\nmaterial a\nsigt inf\nend\n",
+                       "t.xs:3:6: expected a finite number, got 'inf'");
+  expect_library_error("groups 1\nmaterial a\nsigt nan\nend\n",
+                       "t.xs:3:6: expected a finite number, got 'nan'");
+  expect_library_error("groups 1\nmaterial a\nsigt 1e999\nend\n",
+                       "t.xs:3:6: expected a finite number, got '1e999'");
+  expect_library_error("groups 1\nmaterial a\nsigt 1\nsigs nan\nend\n",
+                       "t.xs:4:6: expected a finite number, got 'nan'");
+  expect_library_error(
+      "groups 2\nmaterial a\nsigt 1 1\nnu_sigf 1 inf\nchi 1 0\nend\n",
+      "t.xs:4:11: expected a finite number, got 'inf'");
+  expect_library_error(
+      "groups 2\nmaterial a\nsigt 1 1\nnu_sigf 1 1\nchi nan 1\nend\n",
+      "t.xs:5:5: expected a finite number, got 'nan'");
+  expect_library_error("groups 2\nvelocities 1.0 inf\n",
+                       "t.xs:2:16: expected a finite number, got 'inf'");
+  expect_library_error(
+      "groups 1\nmaterial a\nsigt 1\nscatter 0 0 0 nan\nend\n",
+      "t.xs:4:15: expected a finite number, got 'nan'");
+  expect_library_error(
+      "groups 1\nmoments 2\nmaterial a\nsigt 1\nscatter 1 0 0 -inf\nend\n",
+      "t.xs:5:15: expected a finite number, got '-inf'");
   expect_library_error("# only comments\n",
                        "t.xs: missing 'groups' declaration");
   expect_library_error("groups 4\n", "t.xs: library has no materials");
