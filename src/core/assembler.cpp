@@ -25,9 +25,10 @@ void AssemblyContext::resize(int n, int nf) {
   upwind.assign(static_cast<std::size_t>(nf), 0.0);
   qtmp.assign(static_cast<std::size_t>(n), 0.0);
   workspace.reserve(n);
+  lanes = linalg::LaneBlock(fixed_extent(n, nf) ? n : 0);
 }
 
-template <int N, int NF>
+template <int N, int NF, int S>
 void Assembler::assemble_matrix(double* a, int e, int g,
                                 const Vec3& omega) const {
   const ElementIntegrals& ints = disc_->integrals();
@@ -43,7 +44,7 @@ void Assembler::assemble_matrix(double* a, int e, int g,
   const int nn = n * n;
 #pragma omp simd
   for (int idx = 0; idx < nn; ++idx)
-    a[idx] = st * m[idx] - (wx * gx[idx] + wy * gy[idx] + wz * gz[idx]);
+    a[idx * S] = st * m[idx] - (wx * gx[idx] + wy * gy[idx] + wz * gz[idx]);
 
   // Outflow faces contribute Omega . F to the matrix; inflow faces go to
   // the right-hand side (the paper's data-dependent branch).
@@ -55,12 +56,12 @@ void Assembler::assemble_matrix(double* a, int e, int g,
     const double* fz = ints.face(e, f, 2);
     const int* fn = ints.face_nodes(f);
     for (int i = 0; i < nf; ++i) {
-      double* arow = a + static_cast<std::size_t>(fn[i]) * n;
+      double* arow = a + static_cast<std::size_t>(fn[i]) * n * S;
       const double* fxi = fx + static_cast<std::size_t>(i) * nf;
       const double* fyi = fy + static_cast<std::size_t>(i) * nf;
       const double* fzi = fz + static_cast<std::size_t>(i) * nf;
       for (int j = 0; j < nf; ++j)
-        arow[fn[j]] += wx * fxi[j] + wy * fyi[j] + wz * fzi[j];
+        arow[fn[j] * S] += wx * fxi[j] + wy * fyi[j] + wz * fzi[j];
     }
   }
 }
@@ -181,7 +182,46 @@ void Assembler::process(AssemblyContext& ctx, const SweepState& state,
     if (time_solve) ctx.solve_seconds += ctx.solve_watch.peek();
     psi = rhs;
   }
+  store<N>(state, oct, a, e, g, weight, psi, atomic_phi);
+}
 
+template <int N, int NF>
+void Assembler::flush(AssemblyContext& ctx,
+                      const KernelOptions& options) const {
+  if constexpr (N != linalg::kDynamic) {
+    constexpr int kLanes = linalg::kLanes;
+    const int lanes = ctx.queued;
+    if (lanes == 0) return;
+    ctx.queued = 0;  // empty even if the solve throws
+    double* a = ctx.lanes.a();
+    double* b = ctx.lanes.b();
+    double* rhs = ctx.rhs.data();
+    for (int l = 0; l < lanes; ++l) {
+      const SweepUnit& u = ctx.queue[l];
+      assemble_matrix<N, NF, kLanes>(a + l, u.e, u.g, u.omega);
+      assemble_rhs<N, NF>(ctx, *u.state, u.oct, u.a, u.e, u.g, u.omega);
+      for (int i = 0; i < N; ++i) b[i * kLanes + l] = rhs[i];
+    }
+    if (options.time_solve) ctx.solve_watch.start();
+    linalg::gauss_solve_lanes<N>(
+        ctx.lanes, lanes,
+        options.solver == linalg::SolverKind::GaussianElimination);
+    if (options.time_solve) ctx.solve_seconds += ctx.solve_watch.peek();
+    const double* x = ctx.lanes.x();
+    for (int l = 0; l < lanes; ++l) {
+      const SweepUnit& u = ctx.queue[l];
+      for (int i = 0; i < N; ++i) rhs[i] = x[i * kLanes + l];
+      store<N>(*u.state, u.oct, u.a, u.e, u.g, u.weight, rhs,
+               options.atomic_phi);
+    }
+  }
+}
+
+template <int N>
+void Assembler::store(const SweepState& state, int oct, int a, int e, int g,
+                      double weight, const double* psi,
+                      bool atomic_phi) const {
+  const int n = linalg::extent<N>(disc_->num_nodes());
   double* out = state.psi->at(oct, a, e, g);
 #pragma omp simd
   for (int i = 0; i < n; ++i) out[i] = psi[i];
@@ -218,6 +258,8 @@ void Assembler::process(AssemblyContext& ctx, const SweepState& state,
 
 template void Assembler::assemble_matrix<8, 4>(double*, int, int,
                                                const Vec3&) const;
+template void Assembler::assemble_matrix<8, 4, linalg::kLanes>(
+    double*, int, int, const Vec3&) const;
 template void Assembler::assemble_matrix<linalg::kDynamic, linalg::kDynamic>(
     double*, int, int, const Vec3&) const;
 template void Assembler::assemble_rhs<8, 4>(AssemblyContext&,
@@ -233,5 +275,10 @@ template void Assembler::process<8, 4>(AssemblyContext&, const SweepState&,
 template void Assembler::process<linalg::kDynamic, linalg::kDynamic>(
     AssemblyContext&, const SweepState&, int, int, int, int, const Vec3&,
     double, linalg::SolverKind, bool, bool) const;
+
+template void Assembler::flush<8, 4>(AssemblyContext&,
+                                     const KernelOptions&) const;
+template void Assembler::flush<linalg::kDynamic, linalg::kDynamic>(
+    AssemblyContext&, const KernelOptions&) const;
 
 }  // namespace unsnap::core

@@ -1,16 +1,41 @@
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "core/discretization.hpp"
 #include "core/flux_storage.hpp"
 #include "core/problem_data.hpp"
+#include "linalg/gauss_elim.hpp"
 #include "linalg/solver.hpp"
 #include "util/timer.hpp"
 
 namespace unsnap::core {
 
 class PreassembledOperator;
+struct SweepState;
+
+/// One unit of sweep work: an (angle, element, group) system of the bucket
+/// being swept. The units of one bucket are independent of each other.
+struct SweepUnit {
+  const SweepState* state = nullptr;  // bound to the unit's angle
+  Vec3 omega{};
+  double weight = 0.0;  // quadrature weight of the angle
+  int oct = 0, a = 0, e = 0, g = 0;
+};
+
+/// How a sweep runs the kernel on the units it submits.
+struct KernelOptions {
+  linalg::SolverKind solver = linalg::SolverKind::GaussianElimination;
+  bool atomic_phi = false;  // atomic phi accumulation (angle-threaded)
+  bool time_solve = false;  // accumulate solve time into solve_seconds
+};
+
+/// Whether an element with n nodes, nf per face, runs the kernels at the
+/// fixed order-1 extent (see Extent and with_extent).
+[[nodiscard]] constexpr bool fixed_extent(int n, int nf) {
+  return n == 8 && nf == 4;
+}
 
 /// Per-thread scratch for the assemble/solve kernel; allocated once per
 /// sweep thread so the hot loop never touches the allocator.
@@ -22,6 +47,11 @@ struct AssemblyContext {
   linalg::SolveWorkspace workspace;
   double solve_seconds = 0.0;        // accumulated when timing is enabled
   Stopwatch solve_watch;
+  // Units queued for the next lockstep solve and their lane-interleaved
+  // systems (fixed extent only).
+  std::array<SweepUnit, linalg::kLanes> queue;
+  int queued = 0;
+  linalg::LaneBlock lanes;
 
   void resize(int n, int nf);
 };
@@ -108,7 +138,7 @@ struct Extent {
 /// it once, outside their element loops.
 template <typename F>
 void with_extent(const Discretization& disc, F&& f) {
-  if (disc.num_nodes() == 8 && disc.nodes_per_face() == 4)
+  if (fixed_extent(disc.num_nodes(), disc.nodes_per_face()))
     f(Extent<8, 4>{});
   else
     f(Extent<linalg::kDynamic, linalg::kDynamic>{});
@@ -128,8 +158,10 @@ class Assembler {
       : disc_(&disc), problem_(&problem) {}
 
   /// Assemble the matrix only (shared with the pre-assembly engine and the
-  /// assembly-cost benchmarks). `a` must hold n*n doubles.
-  template <int N = linalg::kDynamic, int NF = linalg::kDynamic>
+  /// assembly-cost benchmarks). Entry (i, j) goes to a[(i * n + j) * S]:
+  /// S = 1 is a contiguous n x n matrix, S = linalg::kLanes one lane of a
+  /// linalg::LaneBlock.
+  template <int N = linalg::kDynamic, int NF = linalg::kDynamic, int S = 1>
   void assemble_matrix(double* a, int e, int g, const Vec3& omega) const;
 
   /// Assemble the right-hand side only into ctx.rhs.
@@ -147,12 +179,52 @@ class Assembler {
                linalg::SolverKind solver, bool atomic_phi,
                bool time_solve) const;
 
+  /// The batch entry point every sweep scheme feeds. At the fixed extent,
+  /// ge and ge-nopivot queue the unit on ctx and, once linalg::kLanes are
+  /// queued, solve them together: each lane's system is assembled into
+  /// ctx.lanes, one linalg::gauss_solve_lanes call eliminates them all,
+  /// and psi and phi are stored lane by lane in submission order. A lane's
+  /// psi is bitwise the one process() would give, so neither the lane nor
+  /// the batch a unit lands in changes a result. Everything else (lu, the
+  /// dynamic extent, preassembled operators) runs process() on the unit
+  /// at once.
+  template <int N, int NF>
+  void submit(AssemblyContext& ctx, const SweepUnit& unit,
+              const KernelOptions& options) const;
+
+  /// Solve whatever ctx has queued. Every scheme flushes each thread at
+  /// the end of its share of a bucket, because the next bucket reads this
+  /// one's psi.
+  template <int N, int NF>
+  void flush(AssemblyContext& ctx, const KernelOptions& options) const;
+
   [[nodiscard]] const Discretization& discretization() const { return *disc_; }
   [[nodiscard]] const ProblemData& problem() const { return *problem_; }
 
  private:
   const Discretization* disc_;
   const ProblemData* problem_;
+
+  /// Store one solved psi and accumulate it into phi (and the higher
+  /// moments) with quadrature weight `weight`.
+  template <int N>
+  void store(const SweepState& state, int oct, int a, int e, int g,
+             double weight, const double* psi, bool atomic_phi) const;
 };
+
+template <int N, int NF>
+void Assembler::submit(AssemblyContext& ctx, const SweepUnit& unit,
+                       const KernelOptions& options) const {
+  if (N == linalg::kDynamic ||
+      options.solver == linalg::SolverKind::LapackLu ||
+      unit.state->pre != nullptr) {
+    process<N, NF>(ctx, *unit.state, unit.oct, unit.a, unit.e, unit.g,
+                   unit.omega, unit.weight, options.solver,
+                   options.atomic_phi, options.time_solve);
+    return;
+  }
+  ctx.queue[ctx.queued++] = unit;
+  if (ctx.queued == linalg::kLanes) flush<N, NF>(ctx, options);
+}
 
 }  // namespace unsnap::core

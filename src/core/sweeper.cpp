@@ -13,7 +13,9 @@
 namespace unsnap::core {
 
 Sweeper::Sweeper(const Assembler& assembler, SweepConfig config)
-    : assembler_(&assembler), config_(config) {
+    : assembler_(&assembler),
+      config_(config),
+      kernel_options_{config.solver, false, config.time_solve} {
   require(config_.ng >= 1, "SweepConfig: ng must be positive");
   require(config_.nmom >= 1, "SweepConfig: nmom must be positive");
   const int n = assembler.discretization().num_nodes();
@@ -45,6 +47,23 @@ Sweeper::Sweeper(const Assembler& assembler, SweepConfig config)
   }
 }
 
+template <class E, class Body>
+void Sweeper::parallel_bucket(long count, util::RegionErrors& errors,
+                              Body&& body) {
+  // `omp for schedule(static)` hands out the same iteration blocks a
+  // combined `parallel for schedule(static)` would; `nowait` lets each
+  // thread flush its own queue before the region's closing barrier.
+#pragma omp parallel
+  {
+    AssemblyContext& ctx = contexts_[omp_get_thread_num()];
+#pragma omp for schedule(static) nowait
+    for (long idx = 0; idx < count; ++idx)
+      errors.capture([&] { body(ctx, idx); });
+    errors.capture(
+        [&] { assembler_->flush<E::n, E::nf>(ctx, kernel_options_); });
+  }
+}
+
 template <class E>
 void Sweeper::sweep_angle(SweepState state, int oct, int a) {
   const Discretization& disc = assembler_->discretization();
@@ -52,9 +71,8 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
   const Vec3 omega = disc.quadrature().direction(oct, a);
   const double weight = disc.quadrature().weight(a);
   const int ng = config_.ng;
-  const auto solver = config_.solver;
-  const bool time_solve = config_.time_solve;
   const Assembler& assembler = *assembler_;
+  const KernelOptions& options = kernel_options_;
   state.schedule = &schedule;
   if (config_.nmom > 1) {
     state.moment_count = config_.nmom * config_.nmom;
@@ -66,52 +84,39 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
   for (int b = 0; b < schedule.num_buckets(); ++b) {
     const std::span<const int> bucket = schedule.bucket(b);
     const int nb = static_cast<int>(bucket.size());
+    const auto submit = [&](AssemblyContext& ctx, int i, int g) {
+      assembler.submit<E::n, E::nf>(
+          ctx, {&state, omega, weight, oct, a, bucket[i], g}, options);
+    };
 
     switch (config_.scheme) {
-      case ConcurrencyScheme::Serial:
+      case ConcurrencyScheme::Serial: {
         // Loop order follows the configured layout for cache coherence.
+        AssemblyContext& ctx = contexts_[0];
         if (config_.loop_order == FluxLayout::AngleElementGroup) {
           for (int i = 0; i < nb; ++i)
-            for (int g = 0; g < ng; ++g)
-              assembler.process<E::n, E::nf>(contexts_[0], state, oct, a,
-                                             bucket[i], g, omega, weight,
-                                             solver, false, time_solve);
+            for (int g = 0; g < ng; ++g) submit(ctx, i, g);
         } else {
           for (int g = 0; g < ng; ++g)
-            for (int i = 0; i < nb; ++i)
-              assembler.process<E::n, E::nf>(contexts_[0], state, oct, a,
-                                             bucket[i], g, omega, weight,
-                                             solver, false, time_solve);
+            for (int i = 0; i < nb; ++i) submit(ctx, i, g);
         }
+        assembler.flush<E::n, E::nf>(ctx, options);
         break;
+      }
 
       case ConcurrencyScheme::Elements:
         // Thread the independent elements of the bucket; groups serial
         // inside each thread ("angle/element/group" with elements bold).
-#pragma omp parallel for schedule(static)
-        for (int i = 0; i < nb; ++i) {
-          errors.capture([&] {
-            AssemblyContext& ctx = contexts_[omp_get_thread_num()];
-            for (int g = 0; g < ng; ++g)
-              assembler.process<E::n, E::nf>(ctx, state, oct, a, bucket[i],
-                                             g, omega, weight, solver, false,
-                                             time_solve);
-          });
-        }
+        parallel_bucket<E>(nb, errors, [&](AssemblyContext& ctx, long i) {
+          for (int g = 0; g < ng; ++g) submit(ctx, static_cast<int>(i), g);
+        });
         break;
 
       case ConcurrencyScheme::Groups:
         // Thread energy groups; elements serial inside each thread.
-#pragma omp parallel for schedule(static)
-        for (int g = 0; g < ng; ++g) {
-          errors.capture([&] {
-            AssemblyContext& ctx = contexts_[omp_get_thread_num()];
-            for (int i = 0; i < nb; ++i)
-              assembler.process<E::n, E::nf>(ctx, state, oct, a, bucket[i],
-                                             g, omega, weight, solver, false,
-                                             time_solve);
-          });
-        }
+        parallel_bucket<E>(ng, errors, [&](AssemblyContext& ctx, long g) {
+          for (int i = 0; i < nb; ++i) submit(ctx, i, static_cast<int>(g));
+        });
         break;
 
       case ConcurrencyScheme::ElementsGroups: {
@@ -119,21 +124,16 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
         // The decode order reproduces the OpenMP collapse semantics for
         // the configured loop order: AEG iterates groups fastest, AGE
         // iterates elements fastest.
-        const long total = static_cast<long>(nb) * ng;
         const bool aeg = config_.loop_order == FluxLayout::AngleElementGroup;
-#pragma omp parallel for schedule(static)
-        for (long idx = 0; idx < total; ++idx) {
-          errors.capture([&] {
-            AssemblyContext& ctx = contexts_[omp_get_thread_num()];
-            const int i = aeg ? static_cast<int>(idx / ng)
-                              : static_cast<int>(idx % nb);
-            const int g = aeg ? static_cast<int>(idx % ng)
-                              : static_cast<int>(idx / nb);
-            assembler.process<E::n, E::nf>(ctx, state, oct, a, bucket[i], g,
-                                           omega, weight, solver, false,
-                                           time_solve);
-          });
-        }
+        parallel_bucket<E>(
+            static_cast<long>(nb) * ng, errors,
+            [&](AssemblyContext& ctx, long idx) {
+              const int i = aeg ? static_cast<int>(idx / ng)
+                                : static_cast<int>(idx % nb);
+              const int g = aeg ? static_cast<int>(idx % ng)
+                                : static_cast<int>(idx / nb);
+              submit(ctx, i, g);
+            });
         break;
       }
 
@@ -158,9 +158,8 @@ void Sweeper::sweep_octant_batched(const SweepState& state, int oct) {
   const Discretization& disc = assembler_->discretization();
   const sweep::ScheduleSet& schedules = disc.schedules();
   const int ng = config_.ng;
-  const auto solver = config_.solver;
-  const bool time_solve = config_.time_solve;
   const Assembler& assembler = *assembler_;
+  const KernelOptions& options = kernel_options_;
 
   for (const std::vector<int>& batch : schedules.batches(oct)) {
     const sweep::SweepSchedule& schedule = schedules.get(oct, batch[0]);
@@ -190,7 +189,7 @@ void Sweeper::sweep_octant_batched(const SweepState& state, int oct) {
     for (int b = 0; b < schedule.num_buckets(); ++b) {
       const std::span<const int> bucket = schedule.bucket(b);
       const int nb = static_cast<int>(bucket.size());
-      // Explicit parallel region (not `parallel for`) so every worker can
+      // Explicit parallel region (not parallel_bucket) so every worker can
       // open its own "sweep.batch" span — the per-thread timeline is the
       // whole point of the trace. The `for schedule(static)` inside hands
       // out the identical iteration blocks a combined `parallel for
@@ -201,18 +200,20 @@ void Sweeper::sweep_octant_batched(const SweepState& state, int oct) {
       {
         OBS_SPAN("sweep.batch", "bucket", b, "elements", nb);
         AssemblyContext& ctx = contexts_[omp_get_thread_num()];
-#pragma omp for schedule(static)
+#pragma omp for schedule(static) nowait
         for (int i = 0; i < nb; ++i) {
           errors.capture([&] {
             const int e = bucket[i];
             for (const BatchAngle& ba : batch_angles_) {
               for (int g = 0; g < ng; ++g)
-                assembler.process<E::n, E::nf>(ctx, ba.state, oct, ba.a, e,
-                                               g, ba.omega, ba.weight, solver,
-                                               false, time_solve);
+                assembler.submit<E::n, E::nf>(
+                    ctx, {&ba.state, ba.omega, ba.weight, oct, ba.a, e, g},
+                    options);
             }
           });
         }
+        errors.capture(
+            [&] { assembler.flush<E::n, E::nf>(ctx, options); });
       }
       errors.rethrow();
     }
@@ -228,6 +229,8 @@ void Sweeper::sweep_octant_angles_atomic(const SweepState& state, int oct) {
   const Discretization& disc = assembler_->discretization();
   const int nang = disc.nang();
   const int ng = config_.ng;
+  KernelOptions options = kernel_options_;
+  options.atomic_phi = true;
 
   util::RegionErrors errors;
 #pragma omp parallel for schedule(dynamic, 1)
@@ -247,10 +250,9 @@ void Sweeper::sweep_octant_angles_atomic(const SweepState& state, int oct) {
       for (int b = 0; b < schedule.num_buckets(); ++b) {
         for (const int e : schedule.bucket(b))
           for (int g = 0; g < ng; ++g)
-            assembler_->process<E::n, E::nf>(ctx, local, oct, a, e, g, omega,
-                                             weight, config_.solver,
-                                             /*atomic_phi=*/true,
-                                             config_.time_solve);
+            assembler_->submit<E::n, E::nf>(
+                ctx, {&local, omega, weight, oct, a, e, g}, options);
+        assembler_->flush<E::n, E::nf>(ctx, options);
       }
     });
   }
@@ -298,8 +300,17 @@ void Sweeper::sweep_octant(SweepState& state, int oct) {
 }
 
 void Sweeper::sweep_end() {
-  solve_seconds_ = 0.0;
-  for (const auto& ctx : contexts_) solve_seconds_ += ctx.solve_seconds;
+  // Average over the threads that solved. Each thread's solve time lies
+  // inside the sweep's wall time, so the average does too, at any thread
+  // count.
+  double total = 0.0;
+  int solving = 0;
+  for (const auto& ctx : contexts_) {
+    if (ctx.solve_seconds <= 0.0) continue;
+    total += ctx.solve_seconds;
+    ++solving;
+  }
+  solve_seconds_ = solving > 0 ? total / solving : 0.0;
 }
 
 void Sweeper::sweep(SweepState& state) {

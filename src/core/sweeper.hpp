@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "core/assembler.hpp"
+#include "util/threads.hpp"
 
 namespace unsnap::core {
 
@@ -44,9 +45,11 @@ class Sweeper {
 
   /// Wall time of the last sweep's assemble/solve region.
   [[nodiscard]] double last_sweep_seconds() const { return sweep_seconds_; }
-  /// Sum of per-thread pure-solve time in the last sweep (valid when
-  /// config.time_solve). Reported as thread-summed CPU seconds, matching
-  /// the paper's "% of runtime in the solve" accounting.
+  /// Time the last sweep spent in the dense solve (valid when
+  /// config.time_solve), per thread: every solving thread's time in the
+  /// solve kernel, averaged over those threads. It is at most
+  /// last_sweep_seconds() at any thread count, so their ratio is the
+  /// paper's "% of runtime in the solve".
   [[nodiscard]] double last_solve_seconds() const { return solve_seconds_; }
 
   [[nodiscard]] const SweepConfig& config() const { return config_; }
@@ -64,6 +67,7 @@ class Sweeper {
 
   const Assembler* assembler_;
   SweepConfig config_;
+  KernelOptions kernel_options_;
   std::vector<AssemblyContext> contexts_;  // one per OpenMP thread
   std::vector<BatchAngle> batch_angles_;   // per-batch scratch (AngleBatch)
   double sweep_seconds_ = 0.0;
@@ -74,7 +78,10 @@ class Sweeper {
   NDArray<double, 3> ylm_src_;
 
   // The per-scheme loops, templated on the kernel extent E (an Extent<N,
-  // NF>) that sweep_octant picks once per octant.
+  // NF>) that sweep_octant picks once per octant. Every loop hands its
+  // units to Assembler::submit and flushes each thread at bucket ends.
+  template <class E, class Body>
+  void parallel_bucket(long count, util::RegionErrors& errors, Body&& body);
   template <class E>
   void sweep_angle(SweepState state, int oct, int a);
   template <class E>

@@ -21,7 +21,7 @@ struct IterationResult {
   double final_outer_change = 0.0;   // last outer dfmxo
   double total_seconds = 0.0;
   double assemble_solve_seconds = 0.0;  // wall time inside the sweeps
-  double solve_seconds = 0.0;  // thread-summed pure-solve time (if timed)
+  double solve_seconds = 0.0;  // per-thread solve time (if timed; Sweeper)
   /// Max flux change per inner (SI: one entry per sweep; gmres: one entry
   /// per restart cycle) — the same quantity comm::BlockJacobiResult
   /// records globally.

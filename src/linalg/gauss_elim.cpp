@@ -1,7 +1,9 @@
 #include "linalg/gauss_elim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -10,18 +12,28 @@ namespace unsnap::linalg {
 
 namespace {
 
-// Shared elimination core; kPivot selects partial pivoting for column k.
-template <int N, bool kPivot>
-void eliminate(MatrixView a, std::span<double> b) {
-  const int n = extent<N>(a.rows());
-  const int ld = extent<N>(a.row_stride());
-  UNSNAP_ASSERT(a.rows() == n && a.cols() == n && a.row_stride() == ld &&
-                static_cast<int>(b.size()) == n);
-  double* const m = a.data();
+// The one elimination body behind the scalar kernels and the lockstep one.
+// W systems are eliminated side by side, S apart: entry (i, j) of lane l
+// sits at [(i * ld + j) * S + l] and b_i at [i * S + l]. The scalar
+// kernels are W = S = 1; the lockstep kernel is S = kLanes with W lanes in
+// use. Column 0 reads (a, b) and writes the rows it updates into (ea, x);
+// later columns work on (ea, x), and back substitution reads row 0 from
+// (a, b), which elimination never rewrites. The scalar kernels pass the
+// same arrays twice and pivot or throw in place. The lockstep kernel keeps
+// (a, b) intact and returns false, without a solution, if some lane needs
+// a row swap, a zero or non-finite pivot, or the skip of a zero
+// multiplier; otherwise every lane did exactly the scalar arithmetic.
+template <int N, int W, int S, bool kPivot>
+bool eliminate(double* a, double* b, double* ea, double* x, int n, int ld) {
+  constexpr bool kScalar = S == 1;
+  static_assert(W >= 1 && W <= S);
+  bool bail = false;  // the lockstep pass cannot follow some lane
 
   for (int k = 0; k < n; ++k) {
-    double* rk = m + k * ld;
-    if constexpr (kPivot) {
+    double* const m = k == 0 ? a : ea;  // rows as column k sees them
+    const double* const bm = k == 0 ? b : x;
+    double* const rk = m + k * ld * S;
+    if constexpr (kScalar && kPivot) {
       int piv = k;
       double best = std::fabs(rk[k]);
       for (int i = k + 1; i < n; ++i) {
@@ -30,50 +42,151 @@ void eliminate(MatrixView a, std::span<double> b) {
       }
       if (piv != k) {
         std::swap_ranges(rk + k, rk + n, m + piv * ld + k);
-        std::swap(b[k], b[piv]);
+        std::swap(x[k], x[piv]);  // x is b in the scalar kernels
       }
     }
-    const double diag = rk[k];
-    if (diag == 0.0 || !std::isfinite(diag))
-      throw NumericalError("gauss_solve: zero pivot at column " +
-                           std::to_string(k));
-    const double inv = 1.0 / diag;
-    const double bk = b[k];
+    if constexpr (!kScalar) {
+      // The scalar checks, for every lane at once: a pivot that is zero or
+      // non-finite, and (pivoting) a row below with a larger magnitude.
+      for (int l = 0; l < W; ++l) {
+        const double d = std::fabs(rk[k * S + l]);
+        bail |= !(d > 0.0 && d <= std::numeric_limits<double>::max());
+      }
+      if constexpr (kPivot)
+        for (int i = k + 1; i < n; ++i)
+          for (int l = 0; l < W; ++l)
+            bail |= std::fabs(m[(i * ld + k) * S + l]) >
+                    std::fabs(rk[k * S + l]);
+    }
+    double inv[W], bk[W];
+    for (int l = 0; l < W; ++l) {
+      const double diag = rk[k * S + l];
+      if constexpr (kScalar)
+        if (diag == 0.0 || !std::isfinite(diag))
+          throw NumericalError("gauss_solve: zero pivot at column " +
+                               std::to_string(k));
+      inv[l] = 1.0 / diag;
+      bk[l] = bm[k * S + l];
+    }
     for (int i = k + 1; i < n; ++i) {
-      double* ri = m + i * ld;
-      const double factor = ri[k] * inv;
-      if (factor == 0.0) continue;
+      const double* ri = m + i * ld * S;
+      double* wi = ea + i * ld * S;
+      double factor[W];
+      for (int l = 0; l < W; ++l) factor[l] = ri[k * S + l] * inv[l];
+      if constexpr (kScalar) {
+        if (factor[0] == 0.0) continue;
+      } else {
+        for (int l = 0; l < W; ++l) bail |= factor[l] == 0.0;
+      }
+      // The same update either way; the loop that vectorises differs.
+      if constexpr (kScalar) {
 #pragma omp simd
-      for (int j = k + 1; j < n; ++j) ri[j] -= factor * rk[j];
-      b[i] -= factor * bk;
+        for (int j = k + 1; j < n; ++j) wi[j] = ri[j] - factor[0] * rk[j];
+      } else {
+        for (int j = k + 1; j < n; ++j)
+#pragma omp simd
+          for (int l = 0; l < W; ++l)
+            wi[j * S + l] = ri[j * S + l] - factor[l] * rk[j * S + l];
+      }
+      for (int l = 0; l < W; ++l)
+        x[i * S + l] = bm[i * S + l] - factor[l] * bk[l];
     }
   }
+  if (bail) return false;
 
-  // Back substitution; b becomes x.
+  // Back substitution; x becomes the solution. At a fixed extent each lane
+  // sums j in ascending order, so the lanes and the scalar kernel round
+  // alike. The dynamic extent has no lockstep twin and reaches n = 216, so
+  // it keeps the vectorised (reordered) sum.
   for (int i = n - 1; i >= 0; --i) {
-    const double* ri = m + i * ld;
-    double acc = 0.0;
-#pragma omp simd reduction(+ : acc)
-    for (int j = i + 1; j < n; ++j) acc += ri[j] * b[j];
-    b[i] = (b[i] - acc) / ri[i];
+    const double* ri = (i == 0 ? a : ea) + i * ld * S;
+    const double* bi = (i == 0 ? b : x) + i * S;
+    double acc[W] = {};
+    if constexpr (N == kDynamic) {
+      double sum = 0.0;
+#pragma omp simd reduction(+ : sum)
+      for (int j = i + 1; j < n; ++j) sum += ri[j] * x[j];
+      acc[0] = sum;
+    } else {
+      for (int j = i + 1; j < n; ++j)
+#pragma omp simd
+        for (int l = 0; l < W; ++l) acc[l] += ri[j * S + l] * x[j * S + l];
+    }
+#pragma omp simd
+    for (int l = 0; l < W; ++l)
+      x[i * S + l] = (bi[l] - acc[l]) / ri[i * S + l];
   }
+  return true;
+}
+
+template <int N, bool kPivot>
+void solve_one(MatrixView a, std::span<double> b) {
+  const int n = extent<N>(a.rows());
+  const int ld = extent<N>(a.row_stride());
+  UNSNAP_ASSERT(a.rows() == n && a.cols() == n && a.row_stride() == ld &&
+                static_cast<int>(b.size()) == n);
+  eliminate<N, 1, 1, kPivot>(a.data(), b.data(), a.data(), b.data(), n, ld);
+}
+
+// The lockstep kernels for 1..kLanes lanes in use, indexed by lanes - 1.
+template <int N, bool kPivot, std::size_t... I>
+constexpr auto lane_kernels(std::index_sequence<I...>) {
+  return std::array{&eliminate<N, static_cast<int>(I) + 1, kLanes, kPivot>...};
 }
 
 }  // namespace
 
 template <int N>
 void gauss_solve(MatrixView a, std::span<double> b) {
-  eliminate<N, true>(a, b);
+  solve_one<N, true>(a, b);
 }
 
 template <int N>
 void gauss_solve_nopivot(MatrixView a, std::span<double> b) {
-  eliminate<N, false>(a, b);
+  solve_one<N, false>(a, b);
+}
+
+LaneBlock::LaneBlock(int n)
+    : n_(n),
+      a_(static_cast<std::size_t>(n) * n * kLanes),
+      b_(static_cast<std::size_t>(n) * kLanes),
+      work_(static_cast<std::size_t>(n) * n * kLanes),
+      x_(static_cast<std::size_t>(n) * kLanes),
+      one_(n, n),
+      one_b_(static_cast<std::size_t>(n)) {}
+
+template <int N>
+bool gauss_solve_lanes(LaneBlock& block, int lanes, bool pivot) {
+  static_assert(N != kDynamic, "the lockstep kernel runs at a fixed extent");
+  UNSNAP_ASSERT(block.n_ == N && lanes >= 1 && lanes <= kLanes);
+  static constexpr auto pivoted =
+      lane_kernels<N, true>(std::make_index_sequence<kLanes>{});
+  static constexpr auto unpivoted =
+      lane_kernels<N, false>(std::make_index_sequence<kLanes>{});
+  const auto kernel = (pivot ? pivoted : unpivoted)[lanes - 1];
+  if (kernel(block.a(), block.b(), block.work_.data(), block.x_.data(), N, N))
+    return true;
+
+  // Fallback: each lane on its own through the scalar kernel, from a copy
+  // of its assembled system.
+  double* one = block.one_.data();
+  double* one_b = block.one_b_.data();
+  for (int l = 0; l < lanes; ++l) {
+    for (int t = 0; t < N * N; ++t) one[t] = block.a_[t * kLanes + l];
+    for (int i = 0; i < N; ++i) one_b[i] = block.b_[i * kLanes + l];
+    if (pivot)
+      gauss_solve<N>(block.one_.view(), {one_b, N});
+    else
+      gauss_solve_nopivot<N>(block.one_.view(), {one_b, N});
+    for (int i = 0; i < N; ++i) block.x_[i * kLanes + l] = one_b[i];
+  }
+  return false;
 }
 
 template void gauss_solve<8>(MatrixView, std::span<double>);
 template void gauss_solve<kDynamic>(MatrixView, std::span<double>);
 template void gauss_solve_nopivot<8>(MatrixView, std::span<double>);
 template void gauss_solve_nopivot<kDynamic>(MatrixView, std::span<double>);
+template bool gauss_solve_lanes<8>(LaneBlock&, int, bool);
 
 }  // namespace unsnap::linalg

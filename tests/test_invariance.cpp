@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/transport_solver.hpp"
@@ -56,6 +57,50 @@ double max_diff(const std::vector<double>& a, const std::vector<double>& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     worst = std::max(worst, std::fabs(a[i] - b[i]));
   return worst;
+}
+
+// psi in a canonical (octant, angle, element, group, node) ordering,
+// whatever the layout.
+std::vector<double> canonical_psi(const TransportSolver& solver) {
+  const Discretization& disc = solver.discretization();
+  const int ng = solver.problem().xs.ng;
+  const int n = disc.num_nodes();
+  std::vector<double> out;
+  for (int oct = 0; oct < angular::kOctants; ++oct)
+    for (int a = 0; a < disc.nang(); ++a)
+      for (int e = 0; e < disc.num_elements(); ++e)
+        for (int g = 0; g < ng; ++g) {
+          const double* p = solver.angular_flux().at(oct, a, e, g);
+          out.insert(out.end(), p, p + n);
+        }
+  return out;
+}
+
+struct Fluxes {
+  std::vector<double> phi, psi;
+};
+
+Fluxes solve_fluxes(const snap::Input& input) {
+  TransportSolver solver(input);
+  solver.run();
+  return {canonical_phi(solver), canonical_psi(solver)};
+}
+
+// Entries that differ at all (== on doubles, so only rounding shows).
+std::size_t mismatches(const std::vector<double>& a,
+                       const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+    count += a[i] != b[i];
+  return count;
+}
+
+void expect_bitwise(const Fluxes& reference, const snap::Input& input,
+                    const std::string& what) {
+  const Fluxes candidate = solve_fluxes(input);
+  EXPECT_EQ(mismatches(reference.phi, candidate.phi), 0u) << what << " phi";
+  EXPECT_EQ(mismatches(reference.psi, candidate.psi), 0u) << what << " psi";
 }
 
 struct SchemeCase {
@@ -256,17 +301,20 @@ TEST(TwistedLagInvariance, SchemesAndThreadsBitwiseEqualUnderLagging) {
   reference.oitm = 1;
   reference.scheme = snap::ConcurrencyScheme::Serial;
   reference.num_threads = 1;
-  const std::vector<double> phi_ref = solve_with(reference);
+  const Fluxes expected = solve_fluxes(reference);
 
+  // Order 1: the lockstep batches differ per scheme and thread count, and
+  // still not one value of phi or psi may change.
   for (const snap::ConcurrencyScheme scheme :
-       {snap::ConcurrencyScheme::Elements,
+       {snap::ConcurrencyScheme::Elements, snap::ConcurrencyScheme::Groups,
         snap::ConcurrencyScheme::ElementsGroups}) {
-    for (const int threads : {2, 8}) {
+    for (const int threads : {1, 2, 8}) {
       snap::Input candidate = reference;
       candidate.scheme = scheme;
       candidate.num_threads = threads;
-      EXPECT_LT(max_diff(phi_ref, solve_with(candidate)), 1e-13)
-          << snap::to_string(scheme) << " x " << threads << " threads";
+      expect_bitwise(expected, candidate,
+                     snap::to_string(scheme) + " x " +
+                         std::to_string(threads) + " threads");
     }
   }
 
@@ -277,11 +325,58 @@ TEST(TwistedLagInvariance, SchemesAndThreadsBitwiseEqualUnderLagging) {
   snap::Input batched = reference;
   batched.scheme = snap::ConcurrencyScheme::AngleBatch;
   batched.num_threads = 2;
-  const std::vector<double> phi_batch = solve_with(batched);
+  const Fluxes batch = solve_fluxes(batched);
   batched.num_threads = 8;
-  EXPECT_LT(max_diff(phi_batch, solve_with(batched)), 1e-13)
-      << "angle-batch not thread-invariant under lagging";
-  EXPECT_LT(max_diff(phi_ref, phi_batch), 1e-11);
+  expect_bitwise(batch, batched, "angle-batch at 8 threads under lagging");
+  EXPECT_LT(max_diff(expected.phi, batch.phi), 1e-11);
+}
+
+// At order 1 the sweep solves its element systems in lockstep batches, and
+// every scheme, thread count and layout groups the units of a bucket into
+// batches differently (and leaves different tails). Each lane reproduces
+// the scalar kernel bitwise, so none of that may change a single value of
+// phi or psi.
+TEST(LockstepInvariance, OrderOneBitwiseAcrossSchemesThreadsAndLayouts) {
+  snap::Input reference = base_input();
+  reference.order = 1;
+  reference.scheme = snap::ConcurrencyScheme::Serial;
+  reference.layout = snap::FluxLayout::AngleElementGroup;
+  reference.num_threads = 1;
+  const Fluxes expected = solve_fluxes(reference);
+
+  for (const snap::ConcurrencyScheme scheme :
+       {snap::ConcurrencyScheme::Serial, snap::ConcurrencyScheme::Elements,
+        snap::ConcurrencyScheme::Groups,
+        snap::ConcurrencyScheme::ElementsGroups})
+    for (const int threads : {1, 2, 8})
+      for (const snap::FluxLayout layout :
+           {snap::FluxLayout::AngleElementGroup,
+            snap::FluxLayout::AngleGroupElement}) {
+        snap::Input candidate = reference;
+        candidate.scheme = scheme;
+        candidate.num_threads = threads;
+        candidate.layout = layout;
+        expect_bitwise(expected, candidate,
+                       snap::to_string(scheme) + " x " +
+                           std::to_string(threads) + " threads, " +
+                           snap::to_string(layout));
+      }
+
+  // Angle batching accumulates phi over angles in its own order, so it is
+  // held bitwise to itself across threads and layouts.
+  snap::Input batched = reference;
+  batched.scheme = snap::ConcurrencyScheme::AngleBatch;
+  const Fluxes expected_batch = solve_fluxes(batched);
+  for (const int threads : {2, 8})
+    for (const snap::FluxLayout layout :
+         {snap::FluxLayout::AngleElementGroup,
+          snap::FluxLayout::AngleGroupElement}) {
+      batched.num_threads = threads;
+      batched.layout = layout;
+      expect_bitwise(expected_batch, batched,
+                     "angle-batch x " + std::to_string(threads) +
+                         " threads, " + snap::to_string(layout));
+    }
 }
 
 TEST(QuadratureInvariance, ProductQuadratureAlsoConsistent) {

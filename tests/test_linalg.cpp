@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -343,6 +345,146 @@ TEST(FixedExtentErrors, SingularThrowsTheDynamicText) {
       << inf_text;
   EXPECT_EQ(inf_text,
             numerical_error_text([&] { gauss_solve(infd.view(), xd); }));
+}
+
+// ---- lockstep lanes against the scalar kernel -----------------------------
+
+// The bit pattern of a double, so NaN and signed zeros compare exactly.
+std::uint64_t bits(double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+// Systems for lanes 0..a.size()-1 of a lane block.
+struct LaneSystems {
+  std::vector<Matrix> a;
+  std::vector<std::vector<double>> b;
+
+  void add(Matrix m, std::vector<double> rhs) {
+    a.push_back(std::move(m));
+    b.push_back(std::move(rhs));
+  }
+  [[nodiscard]] int lanes() const { return static_cast<int>(a.size()); }
+};
+
+// Pack the systems into a block, solve them in lockstep, and require every
+// lane's solution to be bitwise the scalar kernel's on the same system.
+// Returns what gauss_solve_lanes returned (false: it fell back).
+bool expect_lanes_match_scalar(const LaneSystems& systems, bool pivot) {
+  LaneBlock block(8);
+  for (int l = 0; l < systems.lanes(); ++l)
+    for (int i = 0; i < 8; ++i) {
+      block.b()[i * kLanes + l] = systems.b[l][i];
+      for (int j = 0; j < 8; ++j)
+        block.a()[(i * 8 + j) * kLanes + l] = systems.a[l](i, j);
+    }
+  const bool lockstep = gauss_solve_lanes<8>(block, systems.lanes(), pivot);
+  for (int l = 0; l < systems.lanes(); ++l) {
+    Matrix a = systems.a[l];
+    std::vector<double> x = systems.b[l];
+    if (pivot)
+      gauss_solve<8>(a.view(), x);
+    else
+      gauss_solve_nopivot<8>(a.view(), x);
+    for (int i = 0; i < 8; ++i)
+      EXPECT_EQ(bits(block.x()[i * kLanes + l]), bits(x[i]))
+          << "lane " << l << " of " << systems.lanes() << ", entry " << i
+          << ": " << block.x()[i * kLanes + l] << " vs " << x[i];
+  }
+  return lockstep;
+}
+
+TEST(LaneSolve, EveryLaneCountMatchesTheScalarKernelBitwise) {
+  Rng rng(850);
+  for (const bool pivot : {true, false}) {
+    for (int lanes = 1; lanes <= kLanes; ++lanes) {
+      SCOPED_TRACE(std::to_string(lanes) + " lanes, pivot " +
+                   std::to_string(pivot));
+      for (int trial = 0; trial < 8; ++trial) {
+        LaneSystems systems;
+        for (int l = 0; l < lanes; ++l)
+          systems.add(random_system(8, rng), random_vector(8, rng));
+        EXPECT_TRUE(expect_lanes_match_scalar(systems, pivot));
+      }
+      // A non-finite right-hand side flows through every lane exactly as
+      // it does through the scalar kernel.
+      LaneSystems systems;
+      for (int l = 0; l < lanes; ++l) {
+        std::vector<double> b = random_vector(8, rng);
+        b[static_cast<std::size_t>(l % 8)] =
+            l % 2 == 0 ? std::numeric_limits<double>::infinity()
+                       : -std::numeric_limits<double>::infinity();
+        systems.add(random_system(8, rng), std::move(b));
+      }
+      EXPECT_TRUE(expect_lanes_match_scalar(systems, pivot));
+    }
+  }
+}
+
+// An anti-diagonal permutation: every diagonal entry is zero, so only a
+// pivoting solve succeeds (the 8 x 8 cousin of
+// GaussSolve.RequiresPivotingOnZeroDiagonal).
+Matrix anti_diagonal() {
+  Matrix a(8, 8);
+  for (int i = 0; i < 8; ++i) a(i, 7 - i) = 1.0 + i;
+  return a;
+}
+
+TEST(LaneSolve, PivotingOrZeroMultiplierLaneFallsBackBitwise) {
+  Rng rng(860);
+  Matrix zero_multiplier = random_system(8, rng);
+  zero_multiplier(5, 0) = 0.0;  // the scalar kernel skips this row update
+  for (const Matrix& odd : {anti_diagonal(), pivot_forcing_system(rng),
+                            zero_multiplier}) {
+    for (const int lane : {0, 3, kLanes - 1}) {
+      SCOPED_TRACE("odd lane " + std::to_string(lane));
+      LaneSystems systems;
+      for (int l = 0; l < kLanes; ++l)
+        systems.add(l == lane ? odd : random_system(8, rng),
+                    random_vector(8, rng));
+      EXPECT_FALSE(expect_lanes_match_scalar(systems, /*pivot=*/true));
+    }
+  }
+  // Without pivoting the permutation's zero pivot is the scalar error.
+  LaneSystems systems;
+  for (int l = 0; l < kLanes; ++l)
+    systems.add(l == 2 ? anti_diagonal() : random_system(8, rng),
+                random_vector(8, rng));
+  EXPECT_THROW(expect_lanes_match_scalar(systems, /*pivot=*/false),
+               NumericalError);
+}
+
+TEST(LaneSolve, SingularLaneThrowsTheScalarText) {
+  // Column 3 of one lane is zero: the scalar kernel meets a zero pivot at
+  // column 3 with or without pivoting, and so must the block, whichever
+  // lane holds it and however many lanes are in use.
+  Rng rng(870);
+  Matrix singular = random_system(8, rng);
+  for (int i = 0; i < 8; ++i) singular(i, 3) = 0.0;
+  for (const bool pivot : {true, false}) {
+    Matrix a = singular;
+    std::vector<double> x = random_vector(8, rng);
+    const std::string scalar = numerical_error_text([&] {
+      if (pivot)
+        gauss_solve<8>(a.view(), x);
+      else
+        gauss_solve_nopivot<8>(a.view(), x);
+    });
+    ASSERT_EQ(scalar, "gauss_solve: zero pivot at column 3");
+    for (const int lanes : {1, 5, kLanes}) {
+      LaneBlock block(8);
+      for (int l = 0; l < lanes; ++l) {
+        const Matrix m = l == lanes - 1 ? singular : random_system(8, rng);
+        for (int t = 0; t < 64; ++t) block.a()[t * kLanes + l] = m.data()[t];
+        for (int i = 0; i < 8; ++i) block.b()[i * kLanes + l] = 1.0;
+      }
+      EXPECT_EQ(numerical_error_text(
+                    [&] { gauss_solve_lanes<8>(block, lanes, pivot); }),
+                scalar)
+          << lanes << " lanes, pivot " << pivot;
+    }
+  }
 }
 
 TEST(SolverDispatch, AllKindsAgree) {

@@ -121,6 +121,24 @@ TEST(Sweeper, SolveTimerSubsetOfSweepTimer) {
   const IterationResult result = solver.run();
   EXPECT_GT(result.solve_seconds, 0.0);
   EXPECT_LT(result.solve_seconds, result.assemble_solve_seconds);
+
+  // The solve time is per thread, so it stays a share of the sweep's wall
+  // time above one thread (a sum over 4 threads once read 138%).
+  const int before = omp_get_max_threads();
+  snap::Input threaded = sweep_input();
+  threaded.dims = {8, 8, 8};
+  threaded.nang = 4;
+  threaded.ng = 4;
+  threaded.iitm = 4;
+  threaded.time_solve = true;
+  threaded.scheme = snap::ConcurrencyScheme::ElementsGroups;
+  threaded.num_threads = 4;
+  TransportSolver threaded_solver(threaded);
+  const IterationResult threaded_result = threaded_solver.run();
+  EXPECT_GT(threaded_result.solve_seconds, 0.0);
+  EXPECT_LT(threaded_result.solve_seconds,
+            threaded_result.assemble_solve_seconds);
+  omp_set_num_threads(before);
 }
 
 TEST(Sweeper, SolveTimerZeroWhenDisabled) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
 
+#include "util/aligned.hpp"
 #include "util/cli.hpp"
 #include "util/ndarray.hpp"
 #include "util/rng.hpp"
@@ -54,6 +56,32 @@ TEST(AlignedVector, SixtyFourByteAlignment) {
   for (int trial = 0; trial < 8; ++trial) {
     AlignedVector<double> v(17 + trial);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 64, 0u);
+  }
+}
+
+// Blocks on both sides of the direct-map cutoff, through both owners:
+// each is 64-byte aligned, writable end to end, and released with the
+// count it was allocated with (a mapped block handed to operator delete,
+// or the reverse, aborts).
+TEST(AlignedAllocator, BlocksAroundTheDirectMapCutoff) {
+  const std::size_t cutoff = kDirectMapBytes / sizeof(double);
+  for (const std::size_t count :
+       {std::size_t{1}, cutoff - 1, cutoff, cutoff + 1, 3 * cutoff + 5}) {
+    SCOPED_TRACE(count);
+    AlignedVector<double> v(count, 1.0);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 64, 0u);
+    v.back() = 2.0;
+    v.resize(2 * count, 3.0);  // moves the block across the cutoff
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 64, 0u);
+    EXPECT_EQ(v[count - 1], 2.0);
+    EXPECT_EQ(v.back(), 3.0);
+
+    AlignedArray<double> a = make_aligned_for_overwrite<double>(count);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.get()) % 64, 0u);
+    for (std::size_t i = 0; i < count; ++i) a[i] = static_cast<double>(i);
+    EXPECT_EQ(a[count - 1], static_cast<double>(count - 1));
+    a = make_aligned_for_overwrite<double>(count + 1);  // frees the first
+    a[count] = 1.0;
   }
 }
 
