@@ -1,7 +1,7 @@
 // k-eigenvalue cost study: the golden criticality configuration run
 // across the two groupset partitions (per-group block Gauss-Seidel vs
-// one fused set) crossed with the three preassembly modes (on-the-fly,
-// factored LU, explicit inverse). Reports outers, cumulative sweeps,
+// one fused set) crossed with the two preassembly modes (on-the-fly,
+// explicit inverse). Reports outers, cumulative sweeps,
 // preassembly storage and wall time per cell, and lands the full
 // RunRecords in BENCH_keff.json in the shape of the other BENCH
 // artifacts ({"bench", "unsnap", "runs": [...]}), plus a compact "keff"
@@ -126,9 +126,9 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<Axis> axes = {
-      {"0,1", "none"},         {"0,1", "factored-lu"},
+      {"0,1", "none"},
       {"0,1", "explicit-inverse"},
-      {"0:1", "none"},         {"0:1", "factored-lu"},
+      {"0:1", "none"},
       {"0:1", "explicit-inverse"},
   };
 

@@ -1,7 +1,7 @@
 // Ablation for §IV-B-1 of the paper (future work there, implemented
-// here): pre-assemble the angle-group-element matrices once — optionally
-// explicitly inverted — and compare iteration cost against on-the-fly
-// assembly, together with the memory this trades away.
+// here): pre-assemble and explicitly invert the angle-group-element
+// matrices once and compare iteration cost against on-the-fly assembly,
+// together with the memory this trades away.
 
 #include <cstdio>
 #include <memory>
@@ -24,9 +24,8 @@ int main(int argc, char** argv) {
   cli.option("csv", "", "also write results to this CSV file");
   if (!cli.parse(argc, argv)) return 0;
 
-  Table table({"order", "on-the-fly (s)", "factored LU (s)",
-               "pre-inverted (s)", "setup (s)", "matrix storage (MB)",
-               "psi storage (MB)"});
+  Table table({"order", "on-the-fly (s)", "pre-inverted (s)", "setup (s)",
+               "matrix storage (MB)", "psi storage (MB)"});
 
   for (int order = 1; order <= cli.get_int("max-order"); ++order) {
     snap::Input input;
@@ -50,30 +49,22 @@ int main(int argc, char** argv) {
     const double t_fly = fly.run().assemble_solve_seconds;
 
     Stopwatch setup;
-    core::TransportSolver lu(disc, input);
-    setup.start();
-    lu.enable_preassembly(core::PreassembledOperator::Mode::FactoredLu);
-    const double t_setup_lu = setup.stop();
-    const double t_lu = lu.run().assemble_solve_seconds;
-    const double storage_mb =
-        static_cast<double>(lu.preassembly()->bytes()) / (1024.0 * 1024.0);
-
     core::TransportSolver inv(disc, input);
     setup.start();
-    inv.enable_preassembly(core::PreassembledOperator::Mode::ExplicitInverse);
-    const double t_setup_inv = setup.stop();
+    inv.enable_preassembly();
+    const double t_setup = setup.stop();
     const double t_inv = inv.run().assemble_solve_seconds;
+    const double storage_mb =
+        static_cast<double>(inv.preassembly()->bytes()) / (1024.0 * 1024.0);
 
     const double psi_mb =
         static_cast<double>(inv.angular_flux().size()) * sizeof(double) /
         (1024.0 * 1024.0);
-    std::printf(
-        "  order %d: fly %.3f s, factored %.3f s, inverted %.3f s "
-        "(setup %.2f/%.2f s)\n",
-        order, t_fly, t_lu, t_inv, t_setup_lu, t_setup_inv);
+    std::printf("  order %d: fly %.3f s, inverted %.3f s (setup %.2f s)\n",
+                order, t_fly, t_inv, t_setup);
     std::fflush(stdout);
-    table.add_row({static_cast<long>(order), t_fly, t_lu, t_inv,
-                   t_setup_lu + t_setup_inv, storage_mb, psi_mb});
+    table.add_row({static_cast<long>(order), t_fly, t_inv, t_setup,
+                   storage_mb, psi_mb});
   }
 
   table.print("Pre-assembly ablation: sweep time for 5 inners");

@@ -19,8 +19,8 @@ using namespace unsnap::bench;
 
 void construction_study(int nang, const std::string& csv) {
   const angular::QuadratureSet quad(angular::QuadratureKind::SnapLike, nang);
-  Table table({"mesh", "twist", "strategy", "unique schedules", "build (s)",
-               "buckets", "mean bucket", "max bucket", "lagged"});
+  Table table({"mesh", "twist", "unique schedules", "build (s)", "buckets",
+               "mean bucket", "max bucket", "lagged"});
 
   for (const int nx : {8, 12, 16}) {
     for (const double twist : {0.0, 0.001, 0.05, 0.5, 2.5}) {
@@ -30,38 +30,26 @@ void construction_study(int nang, const std::string& csv) {
       opt.shuffle_seed = 1;
       const mesh::HexMesh mesh = mesh::build_brick_mesh(opt);
 
-      // The big twist is the cyclic regime: compare the two lagging
-      // strategies head to head (abort would throw there).
-      const std::vector<sweep::CycleStrategy> strategies =
-          twist >= 0.5 ? std::vector<sweep::CycleStrategy>{
-                             sweep::CycleStrategy::LagGreedy,
-                             sweep::CycleStrategy::LagScc}
-                       : std::vector<sweep::CycleStrategy>{
-                             sweep::CycleStrategy::LagScc};
-      for (const sweep::CycleStrategy strategy : strategies) {
-        Stopwatch watch;
-        watch.start();
-        const sweep::ScheduleSet set(mesh, quad, strategy);
-        const double build = watch.stop();
+      // The big twists are the cyclic regime: lag-scc breaks the cycles
+      // (abort would throw there).
+      Stopwatch watch;
+      watch.start();
+      const sweep::ScheduleSet set(mesh, quad, sweep::CycleStrategy::LagScc);
+      const double build = watch.stop();
 
-        const sweep::ScheduleStats stats =
-            sweep::schedule_stats(set.get(0, 0));
-        const sweep::ScheduleSetStats agg = sweep::schedule_set_stats(set, 1);
-        std::printf("  %2d^3 twist %-6g %-10s: %3d unique, %5d lagged, "
-                    "%.3f s\n",
-                    nx, twist, sweep::to_string(strategy).c_str(),
-                    set.unique_count(), agg.total_lagged, build);
-        std::fflush(stdout);
-        table.add_row({std::to_string(nx) + "^3", twist,
-                       sweep::to_string(strategy),
-                       static_cast<long>(set.unique_count()), build,
-                       static_cast<long>(stats.buckets), stats.mean_bucket,
-                       static_cast<long>(stats.max_bucket),
-                       static_cast<long>(agg.total_lagged)});
-      }
+      const sweep::ScheduleStats stats = sweep::schedule_stats(set.get(0, 0));
+      const sweep::ScheduleSetStats agg = sweep::schedule_set_stats(set, 1);
+      std::printf("  %2d^3 twist %-6g: %3d unique, %5d lagged, %.3f s\n", nx,
+                  twist, set.unique_count(), agg.total_lagged, build);
+      std::fflush(stdout);
+      table.add_row({std::to_string(nx) + "^3", twist,
+                     static_cast<long>(set.unique_count()), build,
+                     static_cast<long>(stats.buckets), stats.mean_bucket,
+                     static_cast<long>(stats.max_bucket),
+                     static_cast<long>(agg.total_lagged)});
     }
   }
-  table.print("Schedule construction across mesh size, twist and strategy");
+  table.print("Schedule construction across mesh size and twist");
   if (!csv.empty()) table.write_csv(csv);
 }
 
@@ -144,10 +132,10 @@ int main(int argc, char** argv) {
       "\nReading: untwisted meshes collapse to 8 unique schedules (one per\n"
       "octant, the structured-mesh property in §III-A); twists grow the\n"
       "count toward one per angle, and past ~1 rad the graphs go cyclic —\n"
-      "lag-scc confines the lagged faces to provably cyclic components\n"
-      "(fewer lags than lag-greedy). Bucket sizes bound the paper's\n"
-      "element-level parallelism: mean bucket >> cores means the\n"
-      "[element]-threaded schemes can scale, and angle-batch widens small\n"
-      "buckets by the batch width when schedules dedup.\n");
+      "lag-scc confines the lagged faces to provably cyclic components.\n"
+      "Bucket sizes bound the paper's element-level parallelism: mean\n"
+      "bucket >> cores means the [element]-threaded schemes can scale, and\n"
+      "angle-batch widens small buckets by the batch width when schedules\n"
+      "dedup.\n");
   return 0;
 }

@@ -117,21 +117,6 @@ void BM_PreInvertedApply(benchmark::State& state) {
   state.counters["flops"] = linalg::flops_matvec(n);
 }
 
-void BM_FactoredSolveApply(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  linalg::Matrix lu = random_system(n, 9);
-  std::vector<int> pivots(static_cast<std::size_t>(n));
-  linalg::lu_factor(lu.view(), pivots);
-  const std::vector<double> b0 = random_rhs(n, 10);
-  std::vector<double> b = b0;
-  for (auto _ : state) {
-    std::copy(b0.begin(), b0.end(), b.begin());
-    linalg::lu_solve_factored(lu.view(), pivots, b);
-    benchmark::DoNotOptimize(b.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
 // The Table I sizes: (p+1)^3 for p = 1..5.
 constexpr std::int64_t kSizes[] = {8, 27, 64, 125, 216};
 
@@ -142,7 +127,6 @@ void table_sizes(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_GaussSolve)->Apply(table_sizes);
 BENCHMARK(BM_GaussSolveNoPivot)->Apply(table_sizes);
 BENCHMARK(BM_LapackStyleLu)->Apply(table_sizes);
-BENCHMARK(BM_FactoredSolveApply)->Apply(table_sizes);
 BENCHMARK(BM_PreInvertedApply)->Apply(table_sizes);
 
 // ---- SI vs GMRES across scattering ratios --------------------------------

@@ -88,9 +88,8 @@ int main(int argc, char** argv) {
   };
   const linalg::SolverKind solvers[] = {
       linalg::SolverKind::GaussianElimination, linalg::SolverKind::LapackLu};
-  const snap::PreassemblyMode modes[] = {snap::PreassemblyMode::None,
-                                         snap::PreassemblyMode::FactoredLu,
-                                         snap::PreassemblyMode::ExplicitInverse};
+  const snap::PreassemblyMode modes[] = {
+      snap::PreassemblyMode::None, snap::PreassemblyMode::ExplicitInverse};
 
   util::JsonWriter json;
   json.begin_object();

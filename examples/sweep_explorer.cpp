@@ -33,7 +33,7 @@ void declare_options(Cli& cli) {
   cli.option("angle", "0", "angle index of the visualised ordinate");
   cli.option("vtk", "sweep_buckets.vtk", "VTK output ('' to disable)");
   cli.option("cycles", "abort",
-             "cycle strategy: abort | lag-greedy | lag-scc");
+             "cycle strategy: abort | lag-scc");
 }
 
 int run(const Cli& cli) {

@@ -27,7 +27,7 @@ void declare_options(Cli& cli) {
   cli.option("ng", "2", "energy groups");
   cli.option("c", "0.3", "scattering ratio");
   cli.option("cycles", "lag-scc",
-             "cycle strategy: abort | lag-greedy | lag-scc");
+             "cycle strategy: abort | lag-scc");
   cli.option("scheme", "angle-batch",
              "concurrency: serial | elements | groups | elements-groups | "
              "angles-atomic | angle-batch");

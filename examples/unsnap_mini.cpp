@@ -46,7 +46,7 @@ void declare_options(Cli& cli) {
   cli.option("threads", "0", "OpenMP threads (0 = default)");
   cli.flag("time-solve", "record % of time in the dense solve");
   cli.option("cycles", "abort",
-             "sweep cycle strategy: abort | lag-greedy | lag-scc");
+             "sweep cycle strategy: abort | lag-scc");
   cli.flag("reflect", "reflective (instead of vacuum) on all six sides");
   cli.flag("validate", "run full mesh validation before solving");
 }

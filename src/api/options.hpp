@@ -27,7 +27,7 @@ struct MeshSpec {
   int order = 1;                   // finite element order
   bool validate = false;           // full mesh validation before solving
   /// Sweep cycle handling on strongly twisted meshes (see sweep::
-  /// CycleStrategy): abort, lag-greedy or lag-scc.
+  /// CycleStrategy): abort or lag-scc.
   sweep::CycleStrategy cycle_strategy = sweep::CycleStrategy::Abort;
 
   [[nodiscard]] bool operator==(const MeshSpec&) const = default;
@@ -93,10 +93,10 @@ struct ExecutionSpec {
   snap::ConcurrencyScheme scheme = snap::ConcurrencyScheme::ElementsGroups;
   linalg::SolverKind solver = linalg::SolverKind::GaussianElimination;
   int num_threads = 0;  // 0 = OpenMP default
-  /// Pre-assembled operator mode (paper §IV-B-1): factor or invert every
+  /// Pre-assembled operator mode (paper §IV-B-1): invert every
   /// per-(angle, element, group) system once up front, trading memory
   /// (see the run report's preassembly_bytes) for per-sweep speed.
-  /// Single-domain solve/mms/time modes only.
+  /// Single-domain runs only.
   snap::PreassemblyMode preassembly = snap::PreassemblyMode::None;
   bool time_solve = false;
 

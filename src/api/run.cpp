@@ -144,19 +144,6 @@ RunRecord::DecompositionStats make_decomposition_stats(
   return stats;
 }
 
-RunRecord::Configuration make_configuration(
-    const core::TransportSolver& solver) {
-  RunRecord::Configuration c =
-      make_configuration_from(solver.input(), &solver.discretization());
-  // Report the operator actually live on the solver (built or injected),
-  // not just the deck's request — mode plus the storage footprint.
-  if (const core::PreassembledOperator* pre = solver.preassembly()) {
-    c.preassembly = core::PreassembledOperator::to_string(pre->mode());
-    c.preassembly_bytes = pre->bytes();
-  }
-  return c;
-}
-
 RunRecord::ScheduleStats make_schedule_stats(
     const core::TransportSolver& solver) {
   return make_schedule_stats_from(
@@ -218,22 +205,30 @@ Run::Run(RunConfig config) : config_(std::move(config)) {
   config_.validate();
 }
 
-void Run::configure_preassembly(core::TransportSolver& solver) {
-  const snap::PreassemblyMode mode = config_.execution.preassembly;
-  if (mode == snap::PreassemblyMode::None) {
+void Run::preassemble(RunRecord::Configuration& config) {
+  OBS_SPAN("run.preassembly");
+  if (config_.execution.preassembly == snap::PreassemblyMode::None) {
     shared_pre_.reset();
     return;
   }
-  const auto core_mode =
-      mode == snap::PreassemblyMode::FactoredLu
-          ? core::PreassembledOperator::Mode::FactoredLu
-          : core::PreassembledOperator::Mode::ExplicitInverse;
-  if (shared_pre_ != nullptr && shared_pre_->mode() == core_mode) {
-    solver.set_preassembly(shared_pre_);  // cache hit: skip factorization
+  if (keff_) {
+    // The groupset solvers each span only their own groups, so each
+    // builds its own operator; the serve layer's single-slot cache holds
+    // one global operator and has nothing to share here.
+    shared_pre_.reset();
+    keff_->enable_preassembly();
+    config.preassembly_bytes = keff_->preassembly_bytes();
   } else {
-    solver.enable_preassembly(core_mode);
+    core::TransportSolver& solver =
+        time_solver_ ? time_solver_->solver() : *solver_;
+    if (shared_pre_ != nullptr)
+      solver.set_preassembly(shared_pre_);  // cache hit: skip the build
+    else
+      solver.enable_preassembly();
     shared_pre_ = solver.shared_preassembly();
+    config.preassembly_bytes = shared_pre_->bytes();
   }
+  config.preassembly = snap::to_string(config_.execution.preassembly);
 }
 
 RunRecord Run::execute() {
@@ -298,15 +293,12 @@ RunRecord Run::execute_solve(RunRecord record) {
   Lowered lowered = lower();
   solver_ = std::make_unique<core::TransportSolver>(
       shared_disc_, lowered.input, std::move(*lowered.data));
-  {
-    OBS_SPAN("run.preassembly");
-    configure_preassembly(*solver_);
-  }
+  record.config = make_configuration_from(solver_->input(), shared_disc_.get());
+  preassemble(record.config);
   solver_->set_observer(observer_);
   const bool mms = config_.mode == RunMode::Mms;
   const auto ms = core::ManufacturedSolution::trigonometric();
   if (mms) core::apply_manufactured(*solver_, ms);
-  record.config = make_configuration(*solver_);
   record.schedule = make_schedule_stats(*solver_);
   {
     OBS_SPAN("run.solve");
@@ -345,10 +337,16 @@ RunRecord Run::execute_distributed(RunRecord record) {
   double volume = 0.0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
+  core::IterationResult& iteration = *record.iteration;
   for (int rank = 0; rank < distributed_->num_ranks(); ++rank) {
     const core::TransportSolver& rs = distributed_->rank_solver(rank);
     accumulate_digest(rs.discretization(), rs.scalar_flux(), integrals,
                       volume, min, max);
+    // Ranks sweep concurrently: the run's sweep time is the slowest rank's.
+    iteration.assemble_solve_seconds = std::max(
+        iteration.assemble_solve_seconds, rs.assemble_solve_seconds());
+    iteration.solve_seconds =
+        std::max(iteration.solve_seconds, rs.solve_seconds());
   }
   record.flux = finish_digest(integrals, volume, min, max);
   return record;
@@ -387,16 +385,13 @@ RunRecord Run::execute_time(RunRecord record) {
   core::TransportSolver& inner = time_solver_->solver();
   // Valid after construction only: the TimeDependentSolver ctor has
   // already folded 1/(v dt) into sigma_t, and the matrices stay constant
-  // across steps, so the operators are factored against the final data.
-  {
-    OBS_SPAN("run.preassembly");
-    configure_preassembly(inner);
-  }
+  // across steps, so the operators are inverted against the final data.
+  record.config = make_configuration_from(inner.input(), shared_disc_.get());
+  preassemble(record.config);
   inner.set_observer(observer_);
   if (config_.time.zero_source) inner.problem().qext.fill(0.0);
   time_solver_->set_initial_condition(config_.time.initial);
 
-  record.config = make_configuration(inner);
   record.schedule = make_schedule_stats(inner);
   record.initial_density = time_solver_->total_density();
 
@@ -437,25 +432,10 @@ RunRecord Run::execute_keff(RunRecord record) {
   keff_ = std::make_unique<xs::KeffSolver>(shared_disc_, input,
                                            *lowered.data, options);
   keff_->set_observer(observer_);
-  // The serve layer's single-slot operator cache holds one global
-  // operator; the per-groupset operators here are built fresh per run.
-  shared_pre_.reset();
-  if (config_.execution.preassembly != snap::PreassemblyMode::None) {
-    OBS_SPAN("run.preassembly");
-    keff_->enable_preassembly(
-        config_.execution.preassembly == snap::PreassemblyMode::FactoredLu
-            ? core::PreassembledOperator::Mode::FactoredLu
-            : core::PreassembledOperator::Mode::ExplicitInverse);
-  }
-
-  // The groupset solvers each span only their own groups; the config line
-  // reports the global problem and the summed preassembly footprint.
+  // The config line reports the global problem and the preassembly
+  // footprint summed over the groupset solvers.
   record.config = make_configuration_from(input, shared_disc_.get());
-  if (config_.execution.preassembly != snap::PreassemblyMode::None) {
-    record.config.preassembly =
-        snap::to_string(config_.execution.preassembly);
-    record.config.preassembly_bytes = keff_->preassembly_bytes();
-  }
+  preassemble(record.config);
   record.schedule = make_schedule_stats_from(
       shared_disc_->schedules(), input.num_threads,
       angular::kOctants * input.nang);
@@ -475,6 +455,8 @@ RunRecord Run::execute_keff(RunRecord record) {
   folded.final_inner_change = result.final_fission_change;
   folded.final_outer_change = result.final_k_change;
   folded.total_seconds = result.total_seconds;
+  folded.assemble_solve_seconds = result.assemble_solve_seconds;
+  folded.solve_seconds = result.solve_seconds;
   record.iteration = std::move(folded);
 
   record.balance = keff_->balance();

@@ -248,7 +248,7 @@ class Run {
   /// Share a pre-assembled operator built by a previous run of the same
   /// normalized deck (the serve layer's lowering-cache companion to
   /// set_shared_discretization). Only consumed when the config asks for
-  /// the same preassembly mode; dimensions are checked at injection.
+  /// preassembly; dimensions are checked at injection.
   void set_shared_preassembly(
       std::shared_ptr<const core::PreassembledOperator> pre) {
     shared_pre_ = std::move(pre);
@@ -303,10 +303,13 @@ class Run {
   /// one against the deck, then build the problem data.
   Lowered lower();
 
-  /// Lower config_.execution.preassembly onto a built solver: reuse the
-  /// injected shared operator when its mode matches, otherwise build one
-  /// and keep the shared handle for post-execute harvesting.
-  void configure_preassembly(core::TransportSolver& solver);
+  /// The preassembly step of every solving mode (solve, mms, time, keff),
+  /// run once the mode's solver stack is built: under preassembly =
+  /// explicit-inverse, the single-domain solver reuses the injected shared
+  /// operator or builds one and keeps the shared handle for post-execute
+  /// harvesting; keff builds one per groupset solver. Reports the mode and
+  /// the stored bytes on `config`.
+  void preassemble(RunRecord::Configuration& config);
 
   RunRecord execute_solve(RunRecord record);  // solve and mms
   RunRecord execute_distributed(RunRecord record);

@@ -242,7 +242,6 @@ snap::Input RunConfig::to_input() const {
   input.scheme = execution.scheme;
   input.solver = execution.solver;
   input.num_threads = execution.num_threads;
-  input.preassembly = execution.preassembly;
   input.time_solve = execution.time_solve;
   input.sweep_exchange = decomposition.exchange;
   return input;

@@ -201,6 +201,8 @@ DistributedSweepResult DistributedSweepSolver::run() {
 DistributedSweepResult DistributedSweepSolver::run_jacobi() {
   Network net(num_ranks());
   DistributedSweepResult result;
+  result.rank_sweep_seconds.assign(static_cast<std::size_t>(num_ranks()),
+                                   0.0);
   Stopwatch total;
   total.start();
 
@@ -251,6 +253,8 @@ DistributedSweepResult DistributedSweepSolver::run_jacobi() {
       result.final_inner_change = final_inner;
       result.final_outer_change = final_outer;
     }
+    result.rank_sweep_seconds[static_cast<std::size_t>(rank)] =
+        solver->assemble_solve_seconds();
     solvers_[rank] = std::move(solver);
   });
 
@@ -480,18 +484,5 @@ std::vector<double> DistributedSweepSolver::gather_scalar_flux() const {
   }
   return global;
 }
-
-namespace {
-
-snap::Input force_jacobi(snap::Input input) {
-  input.sweep_exchange = snap::SweepExchange::BlockJacobi;
-  return input;
-}
-
-}  // namespace
-
-BlockJacobiSolver::BlockJacobiSolver(const snap::Input& input, int px, int py,
-                                     int pz)
-    : DistributedSweepSolver(force_jacobi(input), px, py, pz) {}
 
 }  // namespace unsnap::comm

@@ -24,22 +24,19 @@ struct DistributedSweepResult {
   double total_seconds = 0.0;
   std::vector<double> inner_history;  // global max flux change per inner
 
+  /// Per-rank wall time inside the sweep kernel (either exchange).
+  std::vector<double> rank_sweep_seconds;
+
   // --- pipelined exchange only ----------------------------------------
   /// Per-rank wall time spent blocked at the halo boundary waiting for
   /// same-iteration upstream octant traces (the pipeline fill/drain cost).
   std::vector<double> rank_idle_seconds;
-  /// Per-rank wall time inside the sweep kernel, for the idle fraction.
-  std::vector<double> rank_sweep_seconds;
   /// Worst rank's idle / (idle + sweep) over the whole solve.
   double max_idle_fraction = 0.0;
   int pipeline_stages = 1;      // deepest per-octant rank pipeline
   int lagged_rank_edges = 0;    // cycle-broken rank edges (twisted decks)
   double modelled_pipeline_efficiency = 1.0;  // RankDag::modelled_efficiency
 };
-
-/// Backwards-compatible name: the block Jacobi driver predates the
-/// exchange knob and shares the result vocabulary.
-using BlockJacobiResult = DistributedSweepResult;
 
 /// Distributed-memory sweep driver over the simulated-MPI Network: the
 /// global brick is KBA-partitioned into px * py * pz rank blocks (paper
@@ -144,14 +141,6 @@ class DistributedSweepSolver {
 
   DistributedSweepResult run_jacobi();
   DistributedSweepResult run_pipelined();
-};
-
-/// The paper's global schedule under its historical name: a
-/// DistributedSweepSolver pinned to SweepExchange::BlockJacobi regardless
-/// of the deck's sweep_exchange field.
-class BlockJacobiSolver : public DistributedSweepSolver {
- public:
-  BlockJacobiSolver(const snap::Input& input, int px, int py, int pz = 1);
 };
 
 }  // namespace unsnap::comm

@@ -9,9 +9,7 @@
 
 namespace unsnap::core {
 
-PreassembledOperator::PreassembledOperator(const Assembler& assembler,
-                                           Mode mode)
-    : mode_(mode) {
+PreassembledOperator::PreassembledOperator(const Assembler& assembler) {
   const Discretization& disc = assembler.discretization();
   nang_ = disc.nang();
   ne_ = disc.num_elements();
@@ -19,10 +17,8 @@ PreassembledOperator::PreassembledOperator(const Assembler& assembler,
   n_ = disc.num_nodes();
   systems_ = static_cast<std::size_t>(angular::kOctants) * nang_ * ne_ * ng_;
 
-  const auto nn = static_cast<std::size_t>(n_) * n_;
-  mats_ = make_aligned_for_overwrite<double>(systems_ * nn);
-  if (mode_ == Mode::FactoredLu)
-    pivots_ = make_aligned_for_overwrite<int>(systems_ * n_);
+  mats_ = make_aligned_for_overwrite<double>(
+      systems_ * static_cast<std::size_t>(n_) * n_);
   with_extent(disc, [&](auto ext) {
     using E = decltype(ext);
     build<E::n, E::nf>(assembler);
@@ -47,21 +43,13 @@ void PreassembledOperator::build(const Assembler& assembler) {
           const Vec3 omega = disc.quadrature().direction(oct, a);
           for (int e = 0; e < ne_; ++e) {
             for (int g = 0; g < ng_; ++g) {
-              const std::size_t idx = index(oct, a, e, g);
-              double* stored = mats_.get() + idx * nn;
-              if (mode_ == Mode::FactoredLu) {
-                assembler.assemble_matrix<N, NF>(stored, e, g, omega);
-                linalg::lu_factor<N>(
-                    linalg::MatrixView(stored, n, n),
-                    {pivots_.get() + idx * n, static_cast<std::size_t>(n)});
-              } else {
-                assembler.assemble_matrix<N, NF>(scratch.data(), e, g, omega);
-                linalg::invert<N>(scratch.view(), inverse.view(), piv);
-                // Stored column-major: apply() is then n axpys.
-                for (int j = 0; j < n; ++j)
-                  for (int i = 0; i < n; ++i)
-                    stored[static_cast<std::size_t>(j) * n + i] = inverse(i, j);
-              }
+              double* stored = mats_.get() + index(oct, a, e, g) * nn;
+              assembler.assemble_matrix<N, NF>(scratch.data(), e, g, omega);
+              linalg::invert<N>(scratch.view(), inverse.view(), piv);
+              // Stored column-major: apply() is then n axpys.
+              for (int j = 0; j < n; ++j)
+                for (int i = 0; i < n; ++i)
+                  stored[static_cast<std::size_t>(j) * n + i] = inverse(i, j);
             }
           }
         });
@@ -69,12 +57,6 @@ void PreassembledOperator::build(const Assembler& assembler) {
     }
   }
   errors.rethrow();
-}
-
-std::size_t PreassembledOperator::bytes() const {
-  const auto nn = static_cast<std::size_t>(n_) * n_;
-  return sizeof(double) * systems_ * nn +
-         (pivots_ ? sizeof(int) * systems_ * n_ : 0);
 }
 
 }  // namespace unsnap::core

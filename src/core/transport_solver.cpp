@@ -346,11 +346,9 @@ AngularFlux& TransportSolver::angular_source() {
   return *qang_;
 }
 
-void TransportSolver::enable_preassembly(PreassembledOperator::Mode mode) {
-  pre_ = std::make_shared<const PreassembledOperator>(assembler_, mode);
+void TransportSolver::enable_preassembly() {
+  pre_ = std::make_shared<const PreassembledOperator>(assembler_);
 }
-
-void TransportSolver::disable_preassembly() { pre_.reset(); }
 
 void TransportSolver::set_preassembly(
     std::shared_ptr<const PreassembledOperator> pre) {

@@ -23,7 +23,7 @@ struct IterationResult {
   double assemble_solve_seconds = 0.0;  // wall time inside the sweeps
   double solve_seconds = 0.0;  // per-thread solve time (if timed; Sweeper)
   /// Max flux change per inner (SI: one entry per sweep; gmres: one entry
-  /// per restart cycle) — the same quantity comm::BlockJacobiResult
+  /// per restart cycle) — the same quantity comm::DistributedSweepResult
   /// records globally.
   std::vector<double> inner_history;
   /// gmres only: relative 2-norm residual per Krylov iteration (entry 0 is
@@ -138,11 +138,10 @@ class TransportSolver {
   std::vector<NodalField>& coupling_source_moments();
 
   /// Switch the sweep kernel to pre-assembled operators (paper §IV-B-1).
-  void enable_preassembly(PreassembledOperator::Mode mode);
-  void disable_preassembly();
+  void enable_preassembly();
   /// Adopt an operator built by another solver over the same
   /// discretisation/problem (the daemon's lowering cache injects here so
-  /// digest-identical submissions skip factorization). Dimensions are
+  /// digest-identical submissions skip the inversion). Dimensions are
   /// checked; a null pointer disables preassembly.
   void set_preassembly(std::shared_ptr<const PreassembledOperator> pre);
   [[nodiscard]] const PreassembledOperator* preassembly() const {

@@ -44,7 +44,7 @@ struct Lowering {
 
 /// Thread-safe LRU cache of lowered problems keyed by deck digest.
 /// Repeated submissions of the same problem family skip meshing, schedule
-/// construction and (for preassembled decks) the whole factorization
+/// construction and (for preassembled decks) the whole inversion
 /// pass; the solve itself still runs, so a cache hit changes setup time
 /// only, never results (the golden contract: hit and miss produce
 /// bitwise-identical flux digests).

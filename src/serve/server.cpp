@@ -572,8 +572,8 @@ void Server::execute_job(Job& job) {
     if (cacheable) {
       if (auto lowering = cache_.lookup(job.digest, job.normalized)) {
         run.set_shared_discretization(std::move(lowering->disc));
-        // Preassembled decks also skip the whole factorization pass —
-        // Run only consumes the operator when the config's mode matches.
+        // Preassembled decks also skip the whole inversion pass — Run
+        // only consumes the operator when the config asks for one.
         run.set_shared_preassembly(std::move(lowering->pre));
         job.cache_hit.store(true);
       }

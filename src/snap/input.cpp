@@ -44,7 +44,6 @@ std::string to_string(SweepExchange exchange) {
 std::string to_string(PreassemblyMode mode) {
   switch (mode) {
     case PreassemblyMode::None: return "none";
-    case PreassemblyMode::FactoredLu: return "factored-lu";
     case PreassemblyMode::ExplicitInverse: return "explicit-inverse";
   }
   UNSNAP_ASSERT(false);
@@ -53,10 +52,9 @@ std::string to_string(PreassemblyMode mode) {
 
 PreassemblyMode preassembly_from_string(const std::string& name) {
   if (name == "none") return PreassemblyMode::None;
-  if (name == "factored-lu") return PreassemblyMode::FactoredLu;
   if (name == "explicit-inverse") return PreassemblyMode::ExplicitInverse;
   throw InvalidInput("unknown preassembly mode '" + name +
-                     "' (expected none, factored-lu or explicit-inverse)");
+                     "' (expected none or explicit-inverse)");
 }
 
 FluxLayout layout_from_string(const std::string& name) {

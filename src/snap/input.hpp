@@ -51,15 +51,12 @@ enum class SweepExchange {
 
 /// Pre-assembled operator mode (paper §IV-B-1): the per-(angle, element,
 /// group) system matrices depend only on the discretisation and cross
-/// sections, so they can be factored (or explicitly inverted) once up
-/// front and reused every sweep. FactoredLu stores LU factors + pivots
-/// (apply = two triangular solves); ExplicitInverse stores A^{-1} (apply
-/// = one matvec) — faster per solve, but numerically a different rounding
-/// path and double the setup cost. Both trade a large memory footprint
-/// (octants x nang x elements x ng dense matrices) for per-sweep speed.
+/// sections, so they can be explicitly inverted once up front and reused
+/// every sweep (apply = one matvec). ExplicitInverse trades a large memory
+/// footprint (octants x nang x elements x ng dense matrices) for
+/// per-sweep speed.
 enum class PreassemblyMode {
   None,
-  FactoredLu,
   ExplicitInverse,
 };
 
@@ -80,7 +77,7 @@ enum class IterationScheme {
 [[nodiscard]] std::string to_string(PreassemblyMode mode);
 [[nodiscard]] FluxLayout layout_from_string(const std::string& name);
 [[nodiscard]] ConcurrencyScheme scheme_from_string(const std::string& name);
-/// Accepts "none", "factored-lu" and "explicit-inverse".
+/// Accepts "none" and "explicit-inverse".
 [[nodiscard]] PreassemblyMode preassembly_from_string(
     const std::string& name);
 /// Accepts "source-iteration" (alias "si") and "gmres".
@@ -161,15 +158,9 @@ struct Input {
   linalg::SolverKind solver = linalg::SolverKind::GaussianElimination;
   int num_threads = 0;       // 0 = OpenMP default
   /// Sweep cycle handling on strongly twisted meshes: abort (the paper's
-  /// behaviour), lag-greedy (legacy stall-time heuristic) or lag-scc
-  /// (Tarjan SCC condensation with per-component feedback-arc breaking).
+  /// behaviour) or lag-scc (Tarjan SCC condensation with per-component
+  /// feedback-arc breaking).
   sweep::CycleStrategy cycle_strategy = sweep::CycleStrategy::Abort;
-  /// Pre-assembled operator mode for the sweep kernel. Consumed by the
-  /// api::Run facade (and explicit TransportSolver::enable_preassembly
-  /// callers); the TransportSolver constructor itself leaves the kernel
-  /// on the assemble-and-solve path so a prebuilt operator can be
-  /// injected (the daemon's lowering cache) without a wasted build.
-  PreassemblyMode preassembly = PreassemblyMode::None;
   bool validate_mesh = false;
   /// Record pure-solve time inside the kernel (Table II's "% in solve").
   /// Off by default: the per-solve timer calls perturb the measurement,

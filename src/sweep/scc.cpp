@@ -10,7 +10,6 @@ namespace unsnap::sweep {
 std::string to_string(CycleStrategy strategy) {
   switch (strategy) {
     case CycleStrategy::Abort: return "abort";
-    case CycleStrategy::LagGreedy: return "lag-greedy";
     case CycleStrategy::LagScc: return "lag-scc";
   }
   UNSNAP_ASSERT(false);
@@ -19,10 +18,9 @@ std::string to_string(CycleStrategy strategy) {
 
 CycleStrategy cycle_strategy_from_string(const std::string& name) {
   if (name == "abort") return CycleStrategy::Abort;
-  if (name == "lag-greedy") return CycleStrategy::LagGreedy;
   if (name == "lag-scc") return CycleStrategy::LagScc;
   throw InvalidInput("unknown cycle strategy '" + name +
-                     "' (expected abort, lag-greedy or lag-scc)");
+                     "' (expected abort or lag-scc)");
 }
 
 std::vector<int> SccResult::component_sizes() const {

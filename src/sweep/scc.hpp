@@ -14,11 +14,6 @@ namespace unsnap::sweep {
 enum class CycleStrategy {
   /// Throw NumericalError on the first stall — the paper's behaviour.
   Abort,
-  /// Legacy heuristic: every time the Kahn construction stalls, lag the
-  /// single stuck incoming face with the smallest face area (previous-
-  /// iterate flux is read through lagged faces). One face per stall,
-  /// re-examining the whole frontier each time.
-  LagGreedy,
   /// Tarjan SCC condensation up front: find every strongly connected
   /// component of the per-angle dependency graph, then break each
   /// component by lagging its smallest-|n.omega| internal face until the

@@ -1,7 +1,6 @@
 #include "sweep/schedule.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 
 #include "util/assert.hpp"
@@ -66,46 +65,12 @@ SweepSchedule build_schedule(const mesh::HexMesh& mesh,
   std::vector<int> next;
   while (remaining > 0) {
     if (current.empty()) {
-      // Cycle: no element is fully satisfied.
-      UNSNAP_ASSERT(strategy != CycleStrategy::LagScc);
-      if (strategy == CycleStrategy::Abort)
-        throw NumericalError(
-            "sweep schedule: cyclic dependency detected (twist too large?); "
-            "choose a cycle-breaking strategy (lag-greedy or lag-scc) to lag "
-            "the offending faces");
-      // LagGreedy: lag the incoming interior face with the smallest area
-      // among all stuck elements, then retry. Lagged faces read
-      // previous-iterate flux, so the sweep stays well defined. The strict
-      // `<` on an ascending (element, face) scan breaks ties on the lowest
-      // (element, face) pair — schedules are bit-reproducible.
-      int best_e = -1, best_f = -1;
-      double best_flow = 0.0;
-      for (int e = 0; e < ne; ++e) {
-        if (scheduled[e] || unsatisfied[e] == 0) continue;
-        for (int f = 0; f < fem::kFacesPerHex; ++f) {
-          // Only faces counted as dependencies are candidates.
-          if (!is_dependency_edge(mesh, dep, e, f)) continue;
-          const int nbr = mesh.neighbor(e, f);
-          if (scheduled[nbr]) continue;
-          if (schedule.face_is_lagged(e, f)) continue;
-          const Vec3 n = mesh.face_area_normal(e, f);
-          const double flow = std::sqrt(fem::dot(n, n));
-          if (best_e < 0 || flow < best_flow) {
-            best_e = e;
-            best_f = f;
-            best_flow = flow;
-          }
-        }
-      }
-      UNSNAP_ASSERT(best_e >= 0);
-      if (schedule.lagged_mask_.empty())
-        schedule.lagged_mask_.assign(static_cast<std::size_t>(ne), 0);
-      schedule.lagged_mask_[best_e] |=
-          static_cast<std::uint8_t>(1u << best_f);
-      schedule.lagged_faces_.emplace_back(best_e, best_f);
-      --unsatisfied[best_e];
-      if (unsatisfied[best_e] == 0) current.push_back(best_e);
-      continue;
+      // Cycle: no element is fully satisfied. lag-scc broke every cycle
+      // up front, so only abort can get here.
+      UNSNAP_ASSERT(strategy == CycleStrategy::Abort);
+      throw NumericalError(
+          "sweep schedule: cyclic dependency detected (twist too large?); "
+          "choose cycles = lag-scc to lag the offending faces");
     }
 
     // Emit the bucket and relax downwind counters.

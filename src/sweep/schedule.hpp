@@ -70,11 +70,10 @@ class SweepSchedule {
 /// which join the next bucket when fully satisfied.
 ///
 /// Cyclic dependencies (possible on strongly twisted meshes) are resolved
-/// according to `strategy`: Abort throws NumericalError, LagGreedy lags the
-/// smallest-area stuck face each time the construction stalls (deterministic
-/// lowest-(element, face) tie-breaking), LagScc runs Tarjan SCC condensation
-/// up front and breaks each cyclic component at its smallest-|n.omega| face
-/// (see scc.hpp), after which the construction provably never stalls.
+/// according to `strategy`: Abort throws NumericalError, LagScc runs Tarjan
+/// SCC condensation up front and breaks each cyclic component at its
+/// smallest-|n.omega| face (see scc.hpp), after which the construction
+/// provably never stalls.
 [[nodiscard]] SweepSchedule build_schedule(
     const mesh::HexMesh& mesh, const AngleDependency& dep,
     CycleStrategy strategy = CycleStrategy::Abort);

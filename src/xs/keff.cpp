@@ -103,8 +103,8 @@ void KeffSolver::set_observer(core::IterationObserver* observer) {
   for (auto& solver : solvers_) solver->set_observer(observer);
 }
 
-void KeffSolver::enable_preassembly(core::PreassembledOperator::Mode mode) {
-  for (auto& solver : solvers_) solver->enable_preassembly(mode);
+void KeffSolver::enable_preassembly() {
+  for (auto& solver : solvers_) solver->enable_preassembly();
 }
 
 std::size_t KeffSolver::preassembly_bytes() const {
@@ -367,6 +367,10 @@ KeffResult KeffSolver::run() {
 
   result.k = k_;
   result.total_seconds = total.stop();
+  for (const auto& solver : solvers_) {
+    result.assemble_solve_seconds += solver->assemble_solve_seconds();
+    result.solve_seconds += solver->solve_seconds();
+  }
   return result;
 }
 

@@ -39,6 +39,11 @@ struct KeffResult {
   int krylov_iters = 0;               // gmres scheme only
   std::vector<long long> groupset_sweeps;  // [set] cumulative sweeps
   double total_seconds = 0.0;
+  /// Summed over the groupset solvers, which sweep one after another:
+  /// wall time inside the sweeps, and the solve time within them (when
+  /// input.time_solve).
+  double assemble_solve_seconds = 0.0;
+  double solve_seconds = 0.0;
 };
 
 /// k-eigenvalue driver: power iteration over the fission source around
@@ -87,7 +92,7 @@ class KeffSolver {
 
   /// Forwarded to every groupset solver.
   void set_observer(core::IterationObserver* observer);
-  void enable_preassembly(core::PreassembledOperator::Mode mode);
+  void enable_preassembly();
   [[nodiscard]] std::size_t preassembly_bytes() const;
 
  private:

@@ -75,7 +75,6 @@ void expect_inputs_equal(const snap::Input& a, const snap::Input& b) {
   EXPECT_EQ(a.scheme, b.scheme);
   EXPECT_EQ(a.solver, b.solver);
   EXPECT_EQ(a.num_threads, b.num_threads);
-  EXPECT_EQ(a.preassembly, b.preassembly);
   EXPECT_EQ(a.cycle_strategy, b.cycle_strategy);
   EXPECT_EQ(a.validate_mesh, b.validate_mesh);
   EXPECT_EQ(a.time_solve, b.time_solve);

@@ -23,6 +23,7 @@ snap::Input bj_input() {
   input.scattering_ratio = 0.5;
   input.scheme = snap::ConcurrencyScheme::Serial;
   input.num_threads = 1;
+  input.sweep_exchange = snap::SweepExchange::BlockJacobi;
   return input;
 }
 
@@ -52,8 +53,8 @@ TEST(BlockJacobi, SingleRankReproducesDirectSolve) {
   snap::Input input = bj_input();
   input.iitm = 4;
   input.oitm = 1;
-  BlockJacobiSolver bj(input, 1, 1);
-  const BlockJacobiResult result = bj.run();
+  DistributedSweepSolver bj(input, 1, 1);
+  const DistributedSweepResult result = bj.run();
   EXPECT_EQ(result.inners, 4);
   EXPECT_LT(max_diff(single_domain_phi(input), bj.gather_scalar_flux()),
             1e-13);
@@ -73,8 +74,8 @@ TEST_P(BlockJacobiGrid, ConvergesToSingleDomainSolution) {
   input.oitm = 60;
 
   const std::vector<double> reference = single_domain_phi(input);
-  BlockJacobiSolver bj(input, px, py);
-  const BlockJacobiResult result = bj.run();
+  DistributedSweepSolver bj(input, px, py);
+  const DistributedSweepResult result = bj.run();
   EXPECT_TRUE(result.converged);
   // Same fixed point, but each side stops at its own epsi: compare loosely.
   EXPECT_LT(max_diff(reference, bj.gather_scalar_flux()), 1e-5);
@@ -87,8 +88,8 @@ TEST_P(BlockJacobiGrid, InnerHistoryDecreases) {
   input.epsi = 1e-8;
   input.iitm = 200;
   input.oitm = 1;
-  BlockJacobiSolver bj(input, px, py);
-  const BlockJacobiResult result = bj.run();
+  DistributedSweepSolver bj(input, px, py);
+  const DistributedSweepResult result = bj.run();
   ASSERT_GE(result.inner_history.size(), 3u);
   // Monotone-ish decay: final change far below the early ones.
   EXPECT_LT(result.inner_history.back(),
@@ -115,8 +116,8 @@ TEST_P(BlockJacobiGrid3, ConvergesToSingleDomainSolution) {
   input.oitm = 60;
 
   const std::vector<double> reference = single_domain_phi(input);
-  BlockJacobiSolver bj(input, px, py, pz);
-  const BlockJacobiResult result = bj.run();
+  DistributedSweepSolver bj(input, px, py, pz);
+  const DistributedSweepResult result = bj.run();
   EXPECT_TRUE(result.converged);
   // Same fixed point, but each side stops at its own epsi: compare loosely.
   EXPECT_LT(max_diff(reference, bj.gather_scalar_flux()), 1e-5);
@@ -135,8 +136,8 @@ TEST(BlockJacobi, MoreRanksNeedMoreIterations) {
   input.iitm = 400;
   input.oitm = 1;
 
-  BlockJacobiSolver one(input, 1, 1);
-  BlockJacobiSolver many(input, 3, 3);
+  DistributedSweepSolver one(input, 1, 1);
+  DistributedSweepSolver many(input, 3, 3);
   const int inners_one = one.run().inners;
   const int inners_many = many.run().inners;
   EXPECT_GE(inners_many, inners_one);
@@ -147,8 +148,8 @@ TEST(BlockJacobi, FixedIterationCountsMatchInput) {
   snap::Input input = bj_input();
   input.iitm = 3;
   input.oitm = 2;
-  BlockJacobiSolver bj(input, 2, 2);
-  const BlockJacobiResult result = bj.run();
+  DistributedSweepSolver bj(input, 2, 2);
+  const DistributedSweepResult result = bj.run();
   EXPECT_EQ(result.inners, 6);
   EXPECT_EQ(result.outers, 2);
 }
@@ -157,7 +158,7 @@ TEST(BlockJacobi, RankSolversExposeSubdomains) {
   snap::Input input = bj_input();
   input.iitm = 1;
   input.oitm = 1;
-  BlockJacobiSolver bj(input, 2, 2);
+  DistributedSweepSolver bj(input, 2, 2);
   bj.run();
   int total_elements = 0;
   for (int r = 0; r < bj.num_ranks(); ++r) {

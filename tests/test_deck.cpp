@@ -112,6 +112,11 @@ TEST(DeckBinding, GoldenMalformedDeckMessages) {
                     "t.inp:2:10: unknown layout 'eag'");
   expect_bind_error("[execution]\npreassembly = lu\n",
                     "t.inp:2:15: unknown preassembly mode 'lu'");
+  expect_bind_error("[execution]\npreassembly = factored-lu\n",
+                    "t.inp:2:15: unknown preassembly mode 'factored-lu'");
+  expect_bind_error("[mesh]\ncycles = lag-greedy\n",
+                    "t.inp:2:10: unknown cycle strategy 'lag-greedy' "
+                    "(expected abort or lag-scc)");
   expect_bind_error("[run]\nmode = schedules\n",
                     "t.inp:2:8: unknown run mode 'schedules'");
   // Type mismatches, with line and value column.
@@ -149,7 +154,7 @@ TEST(DeckBinding, GoldenMalformedDeckMessages) {
   expect_bind_error("[materials]\nsigt = 1 1\nscattering = inf 0\n",
                     "t.inp: materials: scattering ratios must be in [0, 1)");
   expect_bind_error("[decomposition]\npx = 2\n"
-                    "[execution]\npreassembly = factored-lu\n",
+                    "[execution]\npreassembly = explicit-inverse\n",
                     "t.inp: execution: preassembly requires a single-domain "
                     "run");
   // Over-decomposition (more rank blocks than cells on an axis) is caught

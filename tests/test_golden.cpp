@@ -60,12 +60,12 @@ bool gmres_mode() {
   return golden_scheme() == snap::IterationScheme::Gmres;
 }
 
-/// UNSNAP_GOLDEN_PREASSEMBLY=factored-lu|explicit-inverse reruns the
-/// battery with the sweep kernel on pre-assembled operators. The frozen
-/// digests are shared with the assemble-and-solve path: preassembly only
-/// reorders the per-element solve arithmetic, so the same numbers must
-/// come out within kRelTol — that the battery passes in all three modes
-/// IS the correctness pin for the preassembled kernel.
+/// UNSNAP_GOLDEN_PREASSEMBLY=explicit-inverse reruns the battery with the
+/// sweep kernel on pre-assembled operators. The frozen digests are shared
+/// with the assemble-and-solve path: preassembly only reorders the
+/// per-element solve arithmetic, so the same numbers must come out within
+/// kRelTol — that the battery passes in both modes IS the correctness pin
+/// for the preassembled kernel.
 snap::PreassemblyMode golden_preassembly() {
   const char* env = std::getenv("UNSNAP_GOLDEN_PREASSEMBLY");
   if (env == nullptr) return snap::PreassemblyMode::None;

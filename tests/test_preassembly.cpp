@@ -40,16 +40,13 @@ std::vector<double> canonical_phi(const TransportSolver& solver) {
   return out;
 }
 
-class PreassemblyMode
-    : public ::testing::TestWithParam<PreassembledOperator::Mode> {};
-
-TEST_P(PreassemblyMode, MatchesOnTheFlyAssembly) {
+TEST(Preassembly, MatchesOnTheFlyAssembly) {
   TransportSolver reference(pre_input());
   reference.run();
   const std::vector<double> phi_ref = canonical_phi(reference);
 
   TransportSolver pre(pre_input());
-  pre.enable_preassembly(GetParam());
+  pre.enable_preassembly();
   pre.run();
   const std::vector<double> phi_pre = canonical_phi(pre);
 
@@ -59,21 +56,16 @@ TEST_P(PreassemblyMode, MatchesOnTheFlyAssembly) {
                 1e-10 * (1.0 + std::fabs(phi_ref[i])));
 }
 
-TEST_P(PreassemblyMode, WorksForQuadraticElements) {
+TEST(Preassembly, WorksForQuadraticElements) {
   TransportSolver reference(pre_input(2));
   reference.run();
   TransportSolver pre(pre_input(2));
-  pre.enable_preassembly(GetParam());
+  pre.enable_preassembly();
   pre.run();
   const auto a = canonical_phi(reference), b = canonical_phi(pre);
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_NEAR(a[i], b[i], 1e-9 * (1.0 + std::fabs(a[i])));
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Modes, PreassemblyMode,
-    ::testing::Values(PreassembledOperator::Mode::FactoredLu,
-                      PreassembledOperator::Mode::ExplicitInverse));
 
 // One system at a time: psi through the stored inverse against
 // assemble-and-solve, on a converged state so every upwind trace is live.
@@ -85,8 +77,7 @@ void expect_apply_matches_solve(int order) {
   const int n = disc.num_nodes();
   ASSERT_TRUE(N == linalg::kDynamic || N == n);
   const Assembler assembler(disc, solver.problem());
-  const PreassembledOperator pre(assembler,
-                                 PreassembledOperator::Mode::ExplicitInverse);
+  const PreassembledOperator pre(assembler);
   AngularFlux psi = solver.angular_flux();
   NodalField phi = solver.scalar_flux();
   const NodalField q = solver.scalar_flux();
@@ -132,7 +123,7 @@ TEST(PreassemblyFootprint, MatchesPaperFactorEight) {
   // Paper §IV-B-1: for linear elements the pre-assembled matrices cost a
   // factor (p+1)^3 = 8 more than the angular flux array.
   TransportSolver solver(pre_input(1));
-  solver.enable_preassembly(PreassembledOperator::Mode::ExplicitInverse);
+  solver.enable_preassembly();
   const auto* pre = solver.preassembly();
   ASSERT_NE(pre, nullptr);
   const std::size_t psi_bytes =
@@ -140,19 +131,11 @@ TEST(PreassemblyFootprint, MatchesPaperFactorEight) {
   EXPECT_EQ(pre->bytes(), psi_bytes * 8);
 }
 
-TEST(PreassemblyFootprint, FactoredStoresPivotsToo) {
-  TransportSolver inv(pre_input(1));
-  inv.enable_preassembly(PreassembledOperator::Mode::ExplicitInverse);
-  TransportSolver lu(pre_input(1));
-  lu.enable_preassembly(PreassembledOperator::Mode::FactoredLu);
-  EXPECT_GT(lu.preassembly()->bytes(), inv.preassembly()->bytes());
-}
-
 TEST(Preassembly, DisableRestoresAssembledPath) {
   TransportSolver solver(pre_input());
-  solver.enable_preassembly(PreassembledOperator::Mode::FactoredLu);
+  solver.enable_preassembly();
   EXPECT_NE(solver.preassembly(), nullptr);
-  solver.disable_preassembly();
+  solver.set_preassembly(nullptr);
   EXPECT_EQ(solver.preassembly(), nullptr);
   EXPECT_NO_THROW(solver.run());
 }

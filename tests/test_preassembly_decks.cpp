@@ -1,14 +1,14 @@
 // Deck-driven preassembly equivalence battery: every shipped
 // single-domain golden deck must produce the same answer whether the
 // sweep kernel assembles and solves each (angle, element, group) system
-// on the fly or applies a pre-assembled operator (factored-lu /
-// explicit-inverse). The comparison is the full nodal scalar flux — far
-// stricter than the golden battery's volume-average digests — at a
-// tolerance that allows only the reordered solve arithmetic, never a
-// physics difference. The twisted deck covers the lag-scc cycle-broken
-// schedules; a dedicated test re-runs the battery's cyclic + quickstart
-// decks under the AngleBatch scheme, whose batched inner loop is the
-// kernel restructure this battery guards.
+// on the fly or applies the stored explicit inverse. The comparison is
+// the full nodal scalar flux — far stricter than the golden battery's
+// volume-average digests — at a tolerance that allows only the
+// reordered solve arithmetic, never a physics difference. The twisted
+// deck covers the lag-scc cycle-broken schedules; a dedicated test
+// re-runs the battery's cyclic + quickstart decks under the AngleBatch
+// scheme, whose batched inner loop is the kernel restructure this
+// battery guards.
 
 #include <gtest/gtest.h>
 
@@ -50,7 +50,7 @@ void expect_close(const char* what, const std::vector<double>& reference,
         << what << " entry " << i;
 }
 
-/// Run the deck in all three modes and compare nodal fluxes against the
+/// Run the deck in both modes and compare nodal fluxes against the
 /// assemble-and-solve reference. Also checks the run record reports the
 /// mode and a non-zero operator footprint.
 void check_deck(const std::string& name) {
@@ -58,27 +58,22 @@ void check_deck(const std::string& name) {
   const api::RunRecord ref_record = reference.execute();
   EXPECT_EQ(ref_record.config.preassembly, "none");
   EXPECT_EQ(ref_record.config.preassembly_bytes, 0u);
-  const std::vector<double> ref_flux = nodal_flux(reference);
 
-  for (const snap::PreassemblyMode mode :
-       {snap::PreassemblyMode::FactoredLu,
-        snap::PreassemblyMode::ExplicitInverse}) {
-    api::Run run(battery_config(name, mode));
-    const api::RunRecord record = run.execute();
-    EXPECT_EQ(record.config.preassembly, snap::to_string(mode));
-    EXPECT_GT(record.config.preassembly_bytes, 0u);
-    expect_close(snap::to_string(mode).c_str(), ref_flux, nodal_flux(run));
-    if (ref_record.mms_l2_error.has_value()) {
-      ASSERT_TRUE(record.mms_l2_error.has_value());
-      EXPECT_NEAR(*record.mms_l2_error, *ref_record.mms_l2_error,
-                  kRelTol * (1.0 + *ref_record.mms_l2_error));
-    }
-    ASSERT_EQ(record.steps.size(), ref_record.steps.size());
-    for (std::size_t s = 0; s < record.steps.size(); ++s)
-      EXPECT_NEAR(record.steps[s].total_density,
-                  ref_record.steps[s].total_density,
-                  kRelTol * (1.0 + ref_record.steps[s].total_density));
+  api::Run run(battery_config(name, snap::PreassemblyMode::ExplicitInverse));
+  const api::RunRecord record = run.execute();
+  EXPECT_EQ(record.config.preassembly, "explicit-inverse");
+  EXPECT_GT(record.config.preassembly_bytes, 0u);
+  expect_close(name.c_str(), nodal_flux(reference), nodal_flux(run));
+  if (ref_record.mms_l2_error.has_value()) {
+    ASSERT_TRUE(record.mms_l2_error.has_value());
+    EXPECT_NEAR(*record.mms_l2_error, *ref_record.mms_l2_error,
+                kRelTol * (1.0 + *ref_record.mms_l2_error));
   }
+  ASSERT_EQ(record.steps.size(), ref_record.steps.size());
+  for (std::size_t s = 0; s < record.steps.size(); ++s)
+    EXPECT_NEAR(record.steps[s].total_density,
+                ref_record.steps[s].total_density,
+                kRelTol * (1.0 + ref_record.steps[s].total_density));
 }
 
 class PreassemblyDecks : public ::testing::TestWithParam<const char*> {};
@@ -114,15 +109,12 @@ TEST(PreassemblyDecks, AngleBatchSchemeAgreesToo) {
     (void)reference.execute();
     const std::vector<double> ref_flux = nodal_flux(reference);
 
-    for (const snap::PreassemblyMode mode :
-         {snap::PreassemblyMode::FactoredLu,
-          snap::PreassemblyMode::ExplicitInverse}) {
-      api::RunConfig config = battery_config(name, mode);
-      config.execution.scheme = snap::ConcurrencyScheme::AngleBatch;
-      api::Run run(std::move(config));
-      (void)run.execute();
-      expect_close(name, ref_flux, nodal_flux(run));
-    }
+    api::RunConfig config =
+        battery_config(name, snap::PreassemblyMode::ExplicitInverse);
+    config.execution.scheme = snap::ConcurrencyScheme::AngleBatch;
+    api::Run run(std::move(config));
+    (void)run.execute();
+    expect_close(name, ref_flux, nodal_flux(run));
   }
 }
 

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/report.hpp"
@@ -200,7 +201,8 @@ TEST(Run, DistributedRouteMatchesBlockJacobiBitwise) {
   input.fixed_iterations = true;
   input.scheme = snap::ConcurrencyScheme::Serial;
   input.num_threads = 1;
-  comm::BlockJacobiSolver reference(input, 2, 2);
+  input.sweep_exchange = snap::SweepExchange::BlockJacobi;
+  comm::DistributedSweepSolver reference(input, 2, 2);
   const comm::DistributedSweepResult ref_result = reference.run();
 
   const std::vector<double> mine = run.distributed()->gather_scalar_flux();
@@ -334,6 +336,38 @@ TEST(Run, InjectedDiscretizationCheckedInEveryMode) {
   api::Run run(finer);
   run.set_shared_discretization(disc);
   EXPECT_THROW((void)run.execute(), InvalidInput);
+}
+
+TEST(Run, SweepTimeRecordedInEveryMode) {
+  // The record's sweep time is the wall time inside the sweeps: a keff
+  // run sums its groupset solvers, which sweep in turn, and a distributed
+  // run reports its slowest rank, since ranks sweep at once. In every
+  // solving mode it is positive and within the run's total.
+  const std::string problem =
+      "[mesh]\ndims = 4 4 4\n[angular]\nnang = 2\n[materials]\nng = 1\n"
+      "[iteration]\niitm = 2\noitm = 1\n";
+  std::vector<std::pair<std::string, api::RunConfig>> runs;
+  for (const std::string mode : {"solve", "mms", "time"})
+    runs.emplace_back(mode, api::read_deck_text("[run]\nmode = " + mode +
+                                                "\n" + problem));
+  for (const std::string exchange : {"jacobi", "pipelined"})
+    runs.emplace_back(exchange,
+                      api::read_deck_text(problem +
+                                          "[decomposition]\npx = 2\npy = 2\n"
+                                          "exchange = " + exchange + "\n"));
+  api::RunConfig keff = api::read_deck_file(std::string(UNSNAP_DECK_DIR) +
+                                            "/golden/criticality.inp");
+  keff.xs.max_outers = 2;
+  runs.emplace_back("keff", std::move(keff));
+  for (auto& [name, config] : runs) {
+    const api::RunRecord record = api::Run(std::move(config)).execute();
+    ASSERT_TRUE(record.iteration.has_value()) << name;
+    EXPECT_GT(record.iteration->sweeps, 0) << name;
+    EXPECT_GT(record.iteration->assemble_solve_seconds, 0.0) << name;
+    EXPECT_LE(record.iteration->assemble_solve_seconds,
+              record.iteration->total_seconds)
+        << name;
+  }
 }
 
 int os_threads() {

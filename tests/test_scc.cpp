@@ -139,30 +139,6 @@ TEST(BreakCyclesScc, DeterministicAcrossRuns) {
   EXPECT_EQ(mask_a, mask_b);
 }
 
-TEST(BreakCyclesScc, LagsNoMoreFacesThanGreedy) {
-  // Not a theorem, but the reason lag-scc exists: breaking inside provably
-  // cyclic components should never need more lagged faces than lagging
-  // blindly at every stall — and on this mesh it needs strictly fewer or
-  // equal for every ordinate.
-  const mesh::HexMesh mesh = make_mesh({6, 6, 3}, 2.5, 3);
-  const angular::QuadratureSet quad(angular::QuadratureKind::Product, 9);
-  std::size_t greedy_total = 0, scc_total = 0;
-  for (int oct = 0; oct < angular::kOctants; ++oct)
-    for (int a = 0; a < quad.per_octant(); ++a) {
-      const AngleDependency dep =
-          build_dependency(mesh, quad.direction(oct, a));
-      greedy_total +=
-          build_schedule(mesh, dep, CycleStrategy::LagGreedy).lagged_faces()
-              .size();
-      scc_total +=
-          build_schedule(mesh, dep, CycleStrategy::LagScc).lagged_faces()
-              .size();
-    }
-  EXPECT_GT(greedy_total, 0u);
-  EXPECT_GT(scc_total, 0u);
-  EXPECT_LE(scc_total, greedy_total);
-}
-
 TEST(ScheduleSetBatches, BatchesPartitionTheOctantAngles) {
   const mesh::HexMesh mesh = make_mesh({4, 4, 4}, 0.05, 11);
   const angular::QuadratureSet quad(angular::QuadratureKind::SnapLike, 6);
@@ -238,27 +214,6 @@ TEST(TwistedSolve, AbortThrowsWhereLagSccConverges) {
   // The converged answer must balance: residual small against the source.
   const core::BalanceReport balance = solver.balance();
   EXPECT_LT(balance.relative(), 1e-5);
-}
-
-TEST(TwistedSolve, GreedyAndSccAgreeOnTheConvergedFlux) {
-  // Different lag sets change the iteration path, not the fixed point.
-  snap::Input greedy = twisted_input();
-  greedy.cycle_strategy = CycleStrategy::LagGreedy;
-  greedy.epsi = 1e-9;
-  snap::Input scc = greedy;
-  scc.cycle_strategy = CycleStrategy::LagScc;
-
-  core::TransportSolver solver_greedy(greedy);
-  core::TransportSolver solver_scc(scc);
-  ASSERT_TRUE(solver_greedy.run().converged);
-  ASSERT_TRUE(solver_scc.run().converged);
-
-  double worst = 0.0;
-  for (std::size_t i = 0; i < solver_greedy.scalar_flux().size(); ++i)
-    worst = std::max(worst,
-                     std::fabs(solver_greedy.scalar_flux().data()[i] -
-                               solver_scc.scalar_flux().data()[i]));
-  EXPECT_LT(worst, 1e-6);
 }
 
 }  // namespace

@@ -171,13 +171,10 @@ TEST(ScheduleCycles, ArtificialCycleDetected) {
       (void)build_schedule(mesh, dep, CycleStrategy::Abort);
     } catch (const NumericalError&) {
       found_cycle = true;
-      for (const CycleStrategy strategy :
-           {CycleStrategy::LagGreedy, CycleStrategy::LagScc}) {
-        const SweepSchedule broken = build_schedule(mesh, dep, strategy);
-        EXPECT_FALSE(broken.lagged_faces().empty())
-            << to_string(strategy);
-        expect_valid_schedule(mesh, dep, broken);
-      }
+      const SweepSchedule broken =
+          build_schedule(mesh, dep, CycleStrategy::LagScc);
+      EXPECT_FALSE(broken.lagged_faces().empty());
+      expect_valid_schedule(mesh, dep, broken);
       break;
     }
   }
@@ -189,42 +186,37 @@ TEST(ScheduleCycles, ArtificialCycleDetected) {
 TEST(ScheduleCycles, UntwistedNeverLags) {
   const mesh::HexMesh mesh = make_mesh({4, 4, 4}, 0.0, 17);
   const angular::QuadratureSet quad(angular::QuadratureKind::Product, 9);
-  for (const CycleStrategy strategy :
-       {CycleStrategy::LagGreedy, CycleStrategy::LagScc}) {
-    const ScheduleSet set(mesh, quad, strategy);
-    for (int oct = 0; oct < angular::kOctants; ++oct)
-      for (int a = 0; a < quad.per_octant(); ++a)
-        EXPECT_TRUE(set.get(oct, a).lagged_faces().empty());
-  }
+  const ScheduleSet set(mesh, quad, CycleStrategy::LagScc);
+  for (int oct = 0; oct < angular::kOctants; ++oct)
+    for (int a = 0; a < quad.per_octant(); ++a)
+      EXPECT_TRUE(set.get(oct, a).lagged_faces().empty());
 }
 
 // Satellite regression: the lagged-face pick breaks flow ties on the
 // lowest (element, face) pair, so rebuilding the same schedule — in any
 // process, any number of times — yields a bit-identical bucket order and
-// lag set. A twisted brick has many exactly-tied face areas (the twist
+// lag set. A twisted brick has many exactly-tied face flows (the twist
 // map is z-invariant within a layer), making this the tie-heavy case.
 TEST(ScheduleDeterminism, RebuildIsBitIdentical) {
   const mesh::HexMesh mesh = make_mesh({6, 6, 3}, 2.5, 7);
   const angular::QuadratureSet quad(angular::QuadratureKind::Product, 9);
-  for (const CycleStrategy strategy :
-       {CycleStrategy::LagGreedy, CycleStrategy::LagScc}) {
-    bool lagged_somewhere = false;
-    for (int oct = 0; oct < angular::kOctants; ++oct)
-      for (int a = 0; a < quad.per_octant(); ++a) {
-        const AngleDependency dep =
-            build_dependency(mesh, quad.direction(oct, a));
-        const SweepSchedule first = build_schedule(mesh, dep, strategy);
-        const SweepSchedule second = build_schedule(mesh, dep, strategy);
-        ASSERT_TRUE(std::equal(first.order().begin(), first.order().end(),
-                               second.order().begin(), second.order().end()))
-            << to_string(strategy) << " oct " << oct << " angle " << a;
-        ASSERT_EQ(first.lagged_faces(), second.lagged_faces())
-            << to_string(strategy) << " oct " << oct << " angle " << a;
-        lagged_somewhere |= !first.lagged_faces().empty();
-      }
-    EXPECT_TRUE(lagged_somewhere)
-        << "case too tame: no cycles to break under " << to_string(strategy);
-  }
+  bool lagged_somewhere = false;
+  for (int oct = 0; oct < angular::kOctants; ++oct)
+    for (int a = 0; a < quad.per_octant(); ++a) {
+      const AngleDependency dep =
+          build_dependency(mesh, quad.direction(oct, a));
+      const SweepSchedule first =
+          build_schedule(mesh, dep, CycleStrategy::LagScc);
+      const SweepSchedule second =
+          build_schedule(mesh, dep, CycleStrategy::LagScc);
+      ASSERT_TRUE(std::equal(first.order().begin(), first.order().end(),
+                             second.order().begin(), second.order().end()))
+          << "oct " << oct << " angle " << a;
+      ASSERT_EQ(first.lagged_faces(), second.lagged_faces())
+          << "oct " << oct << " angle " << a;
+      lagged_somewhere |= !first.lagged_faces().empty();
+    }
+  EXPECT_TRUE(lagged_somewhere) << "case too tame: no cycles to break";
 }
 
 TEST(ScheduleScc, SccLagSetIsConfinedToCyclicComponents) {

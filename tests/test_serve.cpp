@@ -144,7 +144,7 @@ TEST(LoweringCache, BundleCarriesThePreassembledOperator) {
   const auto config = api::read_deck_text(tiny_deck(4, 2));
   const auto disc = lower(tiny_deck(4, 2));
   core::TransportSolver solver(disc, config.to_input());
-  solver.enable_preassembly(core::PreassembledOperator::Mode::FactoredLu);
+  solver.enable_preassembly();
   const auto pre = solver.shared_preassembly();
   ASSERT_NE(pre, nullptr);
 

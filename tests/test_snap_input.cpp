@@ -35,15 +35,13 @@ TEST(InputStrings, SchemeNamesAreStable) {
 
 TEST(InputStrings, CycleStrategyRoundTrips) {
   for (const sweep::CycleStrategy strategy :
-       {sweep::CycleStrategy::Abort, sweep::CycleStrategy::LagGreedy,
-        sweep::CycleStrategy::LagScc})
+       {sweep::CycleStrategy::Abort, sweep::CycleStrategy::LagScc})
     EXPECT_EQ(sweep::cycle_strategy_from_string(sweep::to_string(strategy)),
               strategy);
 }
 
 TEST(InputStrings, CycleStrategyNamesAreStable) {
   EXPECT_EQ(sweep::to_string(sweep::CycleStrategy::Abort), "abort");
-  EXPECT_EQ(sweep::to_string(sweep::CycleStrategy::LagGreedy), "lag-greedy");
   EXPECT_EQ(sweep::to_string(sweep::CycleStrategy::LagScc), "lag-scc");
 }
 

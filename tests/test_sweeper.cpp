@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -200,19 +199,15 @@ TEST(Sweeper, ScalarFluxIsWeightedAngularSum) {
 // every element's pivot is non-finite.
 TEST(Sweeper, NonFinitePivotThrowsOnTheCallingThread) {
   const int before = omp_get_max_threads();
-  const std::optional<PreassembledOperator::Mode> modes[] = {
-      std::nullopt, PreassembledOperator::Mode::FactoredLu,
-      PreassembledOperator::Mode::ExplicitInverse};
   for (const ConcurrencyScheme scheme :
        {ConcurrencyScheme::ElementsGroups, ConcurrencyScheme::AngleBatch,
         ConcurrencyScheme::Elements, ConcurrencyScheme::Groups,
         ConcurrencyScheme::AnglesAtomic})
     for (const int threads : {1, 2})
-      for (const auto& mode : modes) {
+      for (const bool preassembly : {false, true}) {
         SCOPED_TRACE(snap::to_string(scheme) + " x " +
                      std::to_string(threads) + " threads, preassembly " +
-                     (mode ? PreassembledOperator::to_string(*mode)
-                           : std::string("none")));
+                     (preassembly ? "explicit-inverse" : "none"));
         snap::Input input = sweep_input();
         input.ng = 2;
         input.scheme = scheme;
@@ -227,7 +222,7 @@ TEST(Sweeper, NonFinitePivotThrowsOnTheCallingThread) {
         EXPECT_THROW(
             {
               TransportSolver solver(disc, input, std::move(data));
-              if (mode) solver.enable_preassembly(*mode);
+              if (preassembly) solver.enable_preassembly();
               solver.run();
             },
             NumericalError);

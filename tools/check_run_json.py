@@ -91,7 +91,7 @@ def check_record(record, path):
         "unique_schedules": "int", "directions": "int",
     }, f"{path}.configuration")
     preassembly = configuration.get("preassembly")
-    expect(preassembly in ("none", "factored-lu", "explicit-inverse", None),
+    expect(preassembly in ("none", "explicit-inverse", None),
            f"{path}.configuration.preassembly",
            f"unknown preassembly mode {preassembly!r}")
     if preassembly == "none":
@@ -128,10 +128,18 @@ def check_record(record, path):
             "sweeps_per_digit": "num", "inner_history": "numlist",
             "residual_history": "numlist",
         }, f"{path}.iteration"):
-            check_fields(it.get("timers", {}), {
+            timers = it.get("timers", {})
+            if check_fields(timers, {
                 "total_seconds": "num", "assemble_solve_seconds": "num",
                 "solve_seconds": "num",
-            }, f"{path}.iteration.timers")
+            }, f"{path}.iteration.timers") and it["sweeps"] > 0:
+                # Every solving mode times its sweeps (keff sums its
+                # groupset solvers, a distributed run reports its slowest
+                # rank), so swept records carry a positive sweep time.
+                sweep_time = timers["assemble_solve_seconds"]
+                expect(sweep_time is not None and sweep_time > 0,
+                       f"{path}.iteration.timers.assemble_solve_seconds",
+                       f"{it['sweeps']} sweeps but no sweep time")
             expect(it["krylov_iters"] == 0 or len(it["residual_history"]) > 0,
                    f"{path}.iteration", "krylov iterations without a residual history")
 
