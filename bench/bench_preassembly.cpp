@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/preassembly.hpp"
@@ -67,7 +68,8 @@ int main(int argc, char** argv) {
                    storage_mb, psi_mb});
   }
 
-  table.print("Pre-assembly ablation: sweep time for 5 inners");
+  table.print("Pre-assembly ablation: sweep time for " +
+              std::to_string(cli.get_int("inners")) + " inners");
   if (!cli.get("csv").empty()) table.write_csv(cli.get("csv"));
 
   std::printf(

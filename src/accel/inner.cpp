@@ -50,16 +50,16 @@ double max_pointwise_change(std::span<const double> delta,
 }
 
 core::IterationResult run_gmres(core::TransportSolver& solver,
-                                const DistributedHooks* hooks) {
+                                const core::IterationHooks* hooks) {
   const snap::Input& input = solver.input();
   core::IterationResult result;
   Stopwatch total;
   total.start();
 
-  // Serial defaults for the distributable seams (see DistributedHooks).
+  // Serial defaults for the distributable seams (core::IterationHooks).
   const auto sweep_frozen = [&] {
     if (hooks != nullptr && hooks->sweep_frozen) hooks->sweep_frozen();
-    else solver.sweep_frozen_coupling();
+    else solver.sweep(/*frozen_coupling=*/true);
   };
   const auto refresh = [&] {
     if (hooks != nullptr && hooks->refresh) hooks->refresh();

@@ -32,25 +32,6 @@ void scatter_flux(core::TransportSolver& solver, std::span<const double> in);
                                           std::span<const double> base,
                                           double floor = 1e-12);
 
-/// Hooks that let a distributed driver run this very inner loop over one
-/// rank's slice of a partitioned flux vector (comm::DistributedSweepSolver
-/// with the pipelined exchange): the frozen sweep becomes the rank's
-/// pipelined-exchange sweep (an exact slice of the global operator apply),
-/// dot/norm2 become globally-reduced inner products, reduce_max wraps the
-/// pointwise convergence measures, and refresh also re-anchors cross-rank
-/// lagged couplings. Every reduction returns the identical value on every
-/// rank, so the per-rank Krylov recurrences stay in lockstep and the
-/// distributed solve IS the single-domain solve. Unset members fall back
-/// to the serial behaviour.
-struct DistributedHooks {
-  std::function<void()> sweep_frozen;  // default: sweep_frozen_coupling()
-  std::function<void()> refresh;       // default: refresh_lagged_couplings()
-  std::function<double(std::span<const double>, std::span<const double>)>
-      dot;
-  std::function<double(std::span<const double>)> norm2;
-  std::function<double(double)> reduce_max;  // global max of a local max
-};
-
 /// The full outer/inner loop with GMRES inners: same outer source update,
 /// iteration budget and convergence vocabulary as TransportSolver::run()'s
 /// source-iteration loop, with each within-group solve delegated to
@@ -58,9 +39,12 @@ struct DistributedHooks {
 /// sweep seeding b = F(0), at most iitm - 2 sweeps inside the Krylov
 /// loop (never fewer than 2, so tiny iitm still makes progress) and one
 /// closing physical sweep that restores a consistent psi and re-anchors
-/// the lagged couplings. `hooks` (optional) distributes the loop — see
-/// DistributedHooks.
+/// the lagged couplings. `hooks` (optional) distributes the loop: its
+/// frozen sweep is then an exact slice of the global operator apply, and
+/// its reductions keep the per-rank Krylov recurrences in lockstep — see
+/// core::IterationHooks.
 [[nodiscard]] core::IterationResult run_gmres(
-    core::TransportSolver& solver, const DistributedHooks* hooks = nullptr);
+    core::TransportSolver& solver,
+    const core::IterationHooks* hooks = nullptr);
 
 }  // namespace unsnap::accel

@@ -101,22 +101,6 @@ RunRecord::FluxDigest finish_digest(const std::vector<double>& integrals,
   return digest;
 }
 
-/// Fold a distributed result into the shared iteration vocabulary.
-core::IterationResult to_iteration_result(
-    const comm::DistributedSweepResult& r) {
-  core::IterationResult out;
-  out.converged = r.converged;
-  out.outers = r.outers;
-  out.inners = r.inners;
-  out.sweeps = r.sweeps;
-  out.krylov_iters = r.krylov_iters;
-  out.final_inner_change = r.final_inner_change;
-  out.final_outer_change = r.final_outer_change;
-  out.total_seconds = r.total_seconds;
-  out.inner_history = r.inner_history;
-  return out;
-}
-
 RunRecord::DecompositionStats make_decomposition_stats(
     int px, int py, int pz, snap::SweepExchange exchange,
     const comm::DistributedSweepResult& result) {
@@ -130,17 +114,14 @@ RunRecord::DecompositionStats make_decomposition_stats(
   stats.modelled_pipeline_efficiency = result.modelled_pipeline_efficiency;
   stats.rank_idle_seconds = result.rank_idle_seconds;
   stats.rank_sweep_seconds = result.rank_sweep_seconds;
-  double sum_idle = 0.0, sum_busy = 0.0, worst = 0.0;
+  double sum_idle = 0.0, sum_busy = 0.0;
   for (std::size_t r = 0; r < result.rank_idle_seconds.size(); ++r) {
-    const double idle = result.rank_idle_seconds[r];
-    const double busy = result.rank_sweep_seconds[r];
-    sum_idle += idle;
-    sum_busy += busy;
-    if (idle + busy > 0.0) worst = std::max(worst, idle / (idle + busy));
+    sum_idle += result.rank_idle_seconds[r];
+    sum_busy += result.rank_sweep_seconds[r];
   }
   stats.mean_idle_fraction =
       sum_idle + sum_busy > 0.0 ? sum_idle / (sum_idle + sum_busy) : 0.0;
-  stats.max_idle_fraction = worst;
+  stats.max_idle_fraction = result.max_idle_fraction;
   return stats;
 }
 
@@ -327,7 +308,7 @@ RunRecord Run::execute_distributed(RunRecord record) {
   record.config.elements = distributed_->global_mesh().num_elements();
   record.config.unique_schedules =
       distributed_->rank_solver(0).discretization().schedules().unique_count();
-  record.iteration = to_iteration_result(result);
+  record.iteration = static_cast<const core::IterationResult&>(result);
   record.decomposition = make_decomposition_stats(
       px, py, pz, distributed_->exchange(), result);
 
@@ -337,16 +318,10 @@ RunRecord Run::execute_distributed(RunRecord record) {
   double volume = 0.0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
-  core::IterationResult& iteration = *record.iteration;
   for (int rank = 0; rank < distributed_->num_ranks(); ++rank) {
     const core::TransportSolver& rs = distributed_->rank_solver(rank);
     accumulate_digest(rs.discretization(), rs.scalar_flux(), integrals,
                       volume, min, max);
-    // Ranks sweep concurrently: the run's sweep time is the slowest rank's.
-    iteration.assemble_solve_seconds = std::max(
-        iteration.assemble_solve_seconds, rs.assemble_solve_seconds());
-    iteration.solve_seconds =
-        std::max(iteration.solve_seconds, rs.solve_seconds());
   }
   record.flux = finish_digest(integrals, volume, min, max);
   return record;
@@ -763,17 +738,16 @@ void print_decomposition_report(const RunRecord::DecompositionStats& stats,
   if (result.krylov_iters > 0)
     std::fprintf(out, "  gmres: %d Krylov iters over %d sweeps per rank\n",
                 result.krylov_iters, result.sweeps);
-  if (stats.exchange != snap::to_string(snap::SweepExchange::Pipelined))
-    return;
-
-  std::fprintf(out, "  pipeline      %d stage%s deep (worst octant), "
-              "%d lagged rank edge%s\n",
-              stats.pipeline_stages, stats.pipeline_stages == 1 ? "" : "s",
-              stats.lagged_rank_edges,
-              stats.lagged_rank_edges == 1 ? "" : "s");
-  std::fprintf(out, "  modelled      %.0f%% pipeline efficiency "
-              "(unit-time rank sweeps)\n",
-              100.0 * stats.modelled_pipeline_efficiency);
+  if (stats.exchange == snap::to_string(snap::SweepExchange::Pipelined)) {
+    std::fprintf(out, "  pipeline      %d stage%s deep (worst octant), "
+                "%d lagged rank edge%s\n",
+                stats.pipeline_stages, stats.pipeline_stages == 1 ? "" : "s",
+                stats.lagged_rank_edges,
+                stats.lagged_rank_edges == 1 ? "" : "s");
+    std::fprintf(out, "  modelled      %.0f%% pipeline efficiency "
+                "(unit-time rank sweeps)\n",
+                100.0 * stats.modelled_pipeline_efficiency);
+  }
   std::fprintf(out, "  measured idle mean %.0f%%, worst rank %.0f%% "
               "(halo waits / (waits + sweep))\n",
               100.0 * stats.mean_idle_fraction,

@@ -65,8 +65,8 @@ struct RunRecord {
   };
   std::optional<ScheduleStats> schedule;
 
-  /// Iteration outcome + histories (distributed runs fold the global
-  /// DistributedSweepResult counts into the same vocabulary).
+  /// Iteration outcome + histories (a distributed run records the
+  /// iteration part of its comm::DistributedSweepResult).
   std::optional<core::IterationResult> iteration;
 
   std::optional<core::BalanceReport> balance;

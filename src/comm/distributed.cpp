@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "accel/inner.hpp"
 #include "core/source.hpp"
 #include "linalg/blas_like.hpp"
 #include "mesh/mesh_builder.hpp"
@@ -47,15 +46,15 @@ DistributedSweepSolver::DistributedSweepSolver(const snap::Input& input,
   // are already threads).
   input_.scheme = snap::ConcurrencyScheme::Serial;
   input_.num_threads = 1;
-  // The Jacobi driver interleaves halo exchanges with its own
-  // source-iteration loop (the rank solvers never call run()), so a gmres
-  // request would be silently ignored — reject it. The pipelined exchange
-  // is an exact global sweep, so there GMRES composes across ranks.
+  // A block-Jacobi sweep reads the previous iteration's halos, so it is
+  // not the global operator apply GMRES needs — reject gmres. The
+  // pipelined exchange is an exact global sweep, so there GMRES composes
+  // across ranks.
   if (input_.sweep_exchange == snap::SweepExchange::BlockJacobi)
     require(input_.iteration_scheme == snap::IterationScheme::SourceIteration,
-            "block Jacobi drives its own source-iteration loop; "
-            "iteration_scheme = gmres is not supported here "
-            "(use sweep_exchange = pipelined)");
+            "block Jacobi sweeps on previous-iteration halos, which is not "
+            "the global operator GMRES needs; iteration_scheme = gmres is "
+            "not supported here (use sweep_exchange = pipelined)");
 
   submeshes_.reserve(static_cast<std::size_t>(num_ranks()));
   for (int r = 0; r < num_ranks(); ++r)
@@ -177,99 +176,12 @@ void DistributedSweepSolver::unpack_halo(
   UNSNAP_ASSERT(offset == payload.size());
 }
 
-void DistributedSweepSolver::exchange(Network& net, int rank,
-                                      core::TransportSolver& solver,
-                                      int tag) const {
-  const HaloPlan& plan = plans_[rank];
-  for (const auto& [dst, faces] : plan.send_faces) {
-    (void)faces;
-    send_halo(net, rank, solver, dst, 0, angular::kOctants, tag);
-  }
-  for (const auto& [src, faces] : plan.recv_faces) {
-    (void)faces;
-    unpack_halo(rank, solver, src, 0, angular::kOctants,
-                net.recv(rank, src, tag));
-  }
-}
-
 DistributedSweepResult DistributedSweepSolver::run() {
-  return input_.sweep_exchange == snap::SweepExchange::Pipelined
-             ? run_pipelined()
-             : run_jacobi();
-}
-
-DistributedSweepResult DistributedSweepSolver::run_jacobi() {
-  Network net(num_ranks());
-  DistributedSweepResult result;
-  result.rank_sweep_seconds.assign(static_cast<std::size_t>(num_ranks()),
-                                   0.0);
-  Stopwatch total;
-  total.start();
-
-  net.run([&](int rank) {
-    auto solver = std::make_unique<core::TransportSolver>(
-        submeshes_[rank].mesh, input_);
-    solver->boundary_values();  // activate halo storage (zero-initialised)
-
-    int tag = 0;
-    double final_inner = 0.0, final_outer = 0.0;
-    int outers = 0, inners = 0;
-    bool converged = false;
-    core::NodalField phi_outer = solver->scalar_flux();
-
-    for (int outer = 0; outer < input_.oitm; ++outer) {
-      if (rank == 0 && observer_ != nullptr)
-        observer_->on_outer_begin(outer);
-      solver->update_outer_source();
-      phi_outer = solver->scalar_flux();
-      for (int inner = 0; inner < input_.iitm; ++inner) {
-        solver->update_inner_source();
-        solver->sweep();
-        exchange(net, rank, *solver, tag++);
-        final_inner = net.allreduce_max(solver->inner_change());
-        ++inners;
-        if (rank == 0) {
-          result.inner_history.push_back(final_inner);
-          if (observer_ != nullptr)
-            observer_->on_inner(inners - 1, inners, final_inner);
-        }
-        if (!input_.fixed_iterations && final_inner < input_.epsi) break;
-      }
-      ++outers;
-      final_outer = net.allreduce_max(
-          core::max_relative_change(solver->scalar_flux(), phi_outer));
-      converged =
-          final_outer < 100.0 * input_.epsi && final_inner < input_.epsi;
-      if (rank == 0 && observer_ != nullptr)
-        observer_->on_outer_end(outer, final_outer, converged);
-      if (!input_.fixed_iterations && converged) break;
-    }
-
-    if (rank == 0) {
-      result.converged = converged;
-      result.outers = outers;
-      result.inners = inners;
-      result.sweeps = inners;
-      result.final_inner_change = final_inner;
-      result.final_outer_change = final_outer;
-    }
-    result.rank_sweep_seconds[static_cast<std::size_t>(rank)] =
-        solver->assemble_solve_seconds();
-    solvers_[rank] = std::move(solver);
-  });
-
-  result.total_seconds = total.stop();
-  return result;
-}
-
-DistributedSweepResult DistributedSweepSolver::run_pipelined() {
-  const RankDag& dag = *dag_;
+  const RankDag* const dag = dag_.get();  // pipelined exchange only
   Network net(num_ranks());
   DistributedSweepResult result;
   result.rank_idle_seconds.assign(static_cast<std::size_t>(num_ranks()),
                                   0.0);
-  result.rank_sweep_seconds.assign(static_cast<std::size_t>(num_ranks()),
-                                   0.0);
   Stopwatch total;
   total.start();
 
@@ -278,9 +190,29 @@ DistributedSweepResult DistributedSweepSolver::run_pipelined() {
         submeshes_[rank].mesh, input_);
     solver->boundary_values();  // activate halo storage (zero-initialised)
 
-    int sweep_index = 0;  // pipelined tag epoch: one per sweep
+    int sweep_index = 0;  // exchange tag epoch: one per sweep
     int lag_epoch = 0;    // lagged-edge tag epoch: one per physical anchor
     double idle_seconds = 0.0;
+
+    // Block Jacobi's sweep: a whole local sweep on the previous
+    // iteration's halos, then the bulk exchange — all octants to every
+    // neighbour, then blocking receives, which the stopwatch charges to
+    // this rank's idle time.
+    const auto jacobi_sweep = [&] {
+      solver->sweep();
+      const HaloPlan& plan = plans_[rank];
+      for (const auto& [dst, faces] : plan.send_faces)
+        send_halo(net, rank, *solver, dst, 0, angular::kOctants,
+                  sweep_index);
+      OBS_SPAN("exchange.wait", "rank", rank);
+      Stopwatch wait;
+      wait.start();
+      for (const auto& [src, faces] : plan.recv_faces)
+        unpack_halo(rank, *solver, src, 0, angular::kOctants,
+                    net.recv(rank, src, sweep_index));
+      idle_seconds += wait.stop();
+      ++sweep_index;
+    };
 
     // Consume the pending upstream octant messages as they arrive: a
     // blocking multi-source wait on the mailbox (recv_any), so a rank
@@ -316,7 +248,7 @@ DistributedSweepResult DistributedSweepSolver::run_pipelined() {
       solver->sweep_begin(frozen);
       for (int oct = 0; oct < angular::kOctants; ++oct) {
         const RankDag::OctantGraph& g =
-            dag.octants[static_cast<std::size_t>(oct)];
+            dag->octants[static_cast<std::size_t>(oct)];
         if (!frozen && lag_epoch > 0)
           drain_upstream(g.lagged_upstream[static_cast<std::size_t>(rank)],
                          oct, lag_tag(lag_epoch - 1, oct));
@@ -346,7 +278,7 @@ DistributedSweepResult DistributedSweepSolver::run_pipelined() {
     const auto refresh_lagged_edges = [&] {
       for (int oct = 0; oct < angular::kOctants; ++oct) {
         const RankDag::OctantGraph& g =
-            dag.octants[static_cast<std::size_t>(oct)];
+            dag->octants[static_cast<std::size_t>(oct)];
         for (const int d :
              g.lagged_downstream[static_cast<std::size_t>(rank)])
           send_halo(net, rank, *solver, d, oct, oct + 1,
@@ -354,109 +286,64 @@ DistributedSweepResult DistributedSweepSolver::run_pipelined() {
       }
       for (int oct = 0; oct < angular::kOctants; ++oct) {
         const RankDag::OctantGraph& g =
-            dag.octants[static_cast<std::size_t>(oct)];
+            dag->octants[static_cast<std::size_t>(oct)];
         drain_upstream(g.lagged_upstream[static_cast<std::size_t>(rank)],
                        oct, lag_tag(lag_epoch, oct));
       }
       ++lag_epoch;
     };
 
-    if (input_.iteration_scheme == snap::IterationScheme::Gmres) {
-      // The pipelined sweep is an exact global transport sweep, so each
-      // rank runs the very same GMRES recurrence over its slice of the
-      // global flux vector; reductions go through the network and return
-      // identical values everywhere, keeping the ranks in lockstep.
-      accel::DistributedHooks hooks;
+    // Only the sweeps and the reductions are distributed: every reduction
+    // returns the identical value on every rank, so the ranks take the
+    // same branches of the one iteration loop in lockstep.
+    core::IterationHooks hooks;
+    if (dag != nullptr) {
+      hooks.sweep = [&] { pipelined_sweep(false); };
       hooks.sweep_frozen = [&] { pipelined_sweep(true); };
       hooks.refresh = [&] {
         solver->refresh_lagged_couplings();
         refresh_lagged_edges();
       };
-      hooks.dot = [&](std::span<const double> a, std::span<const double> b) {
-        return net.allreduce_sum(linalg::dot(a, b));
-      };
-      hooks.norm2 = [&](std::span<const double> v) {
-        return std::sqrt(net.allreduce_sum(linalg::dot(v, v)));
-      };
-      hooks.reduce_max = [&](double v) { return net.allreduce_max(v); };
-
-      // Rank 0's inner driver sees the globally-reduced changes/residuals,
-      // so its events are the global iteration trace.
-      if (rank == 0 && observer_ != nullptr)
-        solver->set_observer(observer_);
-      const core::IterationResult it = accel::run_gmres(*solver, &hooks);
-      if (rank == 0) {
-        result.converged = it.converged;
-        result.outers = it.outers;
-        result.inners = it.inners;
-        result.sweeps = it.sweeps;
-        result.krylov_iters = it.krylov_iters;
-        result.final_inner_change = it.final_inner_change;
-        result.final_outer_change = it.final_outer_change;
-        result.inner_history = it.inner_history;
-      }
     } else {
-      // SNAP's source-iteration loop, sweep for sweep the single-domain
-      // TransportSolver::run() — only the sweep itself is distributed.
-      double final_inner = 0.0, final_outer = 0.0;
-      int outers = 0, inners = 0;
-      bool converged = false;
-      core::NodalField phi_outer = solver->scalar_flux();
-
-      for (int outer = 0; outer < input_.oitm; ++outer) {
-        if (rank == 0 && observer_ != nullptr)
-          observer_->on_outer_begin(outer);
-        solver->update_outer_source();
-        phi_outer = solver->scalar_flux();
-        for (int inner = 0; inner < input_.iitm; ++inner) {
-          solver->update_inner_source();
-          pipelined_sweep(false);
-          final_inner = net.allreduce_max(solver->inner_change());
-          ++inners;
-          if (rank == 0) {
-            result.inner_history.push_back(final_inner);
-            if (observer_ != nullptr)
-              observer_->on_inner(inners - 1, inners, final_inner);
-          }
-          if (!input_.fixed_iterations && final_inner < input_.epsi) break;
-        }
-        ++outers;
-        final_outer = net.allreduce_max(
-            core::max_relative_change(solver->scalar_flux(), phi_outer));
-        converged =
-            final_outer < 100.0 * input_.epsi && final_inner < input_.epsi;
-        if (rank == 0 && observer_ != nullptr)
-          observer_->on_outer_end(outer, final_outer, converged);
-        if (!input_.fixed_iterations && converged) break;
-      }
-
-      if (rank == 0) {
-        result.converged = converged;
-        result.outers = outers;
-        result.inners = inners;
-        result.sweeps = sweep_index;
-        result.final_inner_change = final_inner;
-        result.final_outer_change = final_outer;
-      }
+      hooks.sweep = jacobi_sweep;
     }
+    hooks.dot = [&](std::span<const double> a, std::span<const double> b) {
+      return net.allreduce_sum(linalg::dot(a, b));
+    };
+    hooks.norm2 = [&](std::span<const double> v) {
+      return std::sqrt(net.allreduce_sum(linalg::dot(v, v)));
+    };
+    hooks.reduce_max = [&](double v) { return net.allreduce_max(v); };
 
+    // Rank 0's loop sees the globally-reduced changes and residuals, so
+    // its events are the global iteration trace and its result the run's.
+    if (rank == 0) solver->set_observer(observer_);
+    const core::IterationResult it = solver->run(&hooks);
+    if (rank == 0) static_cast<core::IterationResult&>(result) = it;
     result.rank_idle_seconds[static_cast<std::size_t>(rank)] = idle_seconds;
-    result.rank_sweep_seconds[static_cast<std::size_t>(rank)] =
-        solver->assemble_solve_seconds();
     solvers_[rank] = std::move(solver);
   });
 
   result.total_seconds = total.stop();
-  result.pipeline_stages = dag.max_stages();
-  result.lagged_rank_edges = dag.total_lagged_edges();
-  result.modelled_pipeline_efficiency = dag.modelled_efficiency();
+  // Ranks sweep at once: the run's sweep time is the slowest rank's.
+  result.assemble_solve_seconds = 0.0;
+  result.solve_seconds = 0.0;
   for (int r = 0; r < num_ranks(); ++r) {
+    const core::TransportSolver& rs = *solvers_[r];
     const double idle = result.rank_idle_seconds[static_cast<std::size_t>(r)];
-    const double busy =
-        result.rank_sweep_seconds[static_cast<std::size_t>(r)];
+    const double busy = rs.assemble_solve_seconds();
+    result.rank_sweep_seconds.push_back(busy);
+    result.assemble_solve_seconds =
+        std::max(result.assemble_solve_seconds, busy);
+    result.solve_seconds = std::max(result.solve_seconds, rs.solve_seconds());
     if (idle + busy > 0.0)
       result.max_idle_fraction =
           std::max(result.max_idle_fraction, idle / (idle + busy));
+  }
+  if (dag != nullptr) {
+    result.pipeline_stages = dag->max_stages();
+    result.lagged_rank_edges = dag->total_lagged_edges();
+    result.modelled_pipeline_efficiency = dag->modelled_efficiency();
   }
   return result;
 }

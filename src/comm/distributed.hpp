@@ -12,27 +12,22 @@
 
 namespace unsnap::comm {
 
-/// Outcome of a distributed sweep solve (either exchange discipline).
-struct DistributedSweepResult {
-  bool converged = false;
-  int outers = 0;
-  int inners = 0;      // global inner iterations
-  int sweeps = 0;      // transport sweeps per rank (== inners under SI)
-  int krylov_iters = 0;  // gmres inners only
-  double final_inner_change = 0.0;
-  double final_outer_change = 0.0;
-  double total_seconds = 0.0;
-  std::vector<double> inner_history;  // global max flux change per inner
-
-  /// Per-rank wall time inside the sweep kernel (either exchange).
+/// Outcome of a distributed sweep solve (either exchange discipline): the
+/// global iteration result (rank 0's, whose reductions every rank shares)
+/// plus the per-rank and pipeline figures. total_seconds is the wall time
+/// of the whole rank team; assemble_solve_seconds and solve_seconds are
+/// the slowest rank's, since ranks sweep at once.
+struct DistributedSweepResult : core::IterationResult {
+  /// Per-rank wall time inside the sweep kernel.
   std::vector<double> rank_sweep_seconds;
-
-  // --- pipelined exchange only ----------------------------------------
-  /// Per-rank wall time spent blocked at the halo boundary waiting for
-  /// same-iteration upstream octant traces (the pipeline fill/drain cost).
+  /// Per-rank wall time spent blocked at the halo boundary: the bulk
+  /// exchange's receives (jacobi) or the waits for same-iteration
+  /// upstream octant traces, the pipeline fill/drain cost (pipelined).
   std::vector<double> rank_idle_seconds;
   /// Worst rank's idle / (idle + sweep) over the whole solve.
   double max_idle_fraction = 0.0;
+
+  // --- pipelined exchange only ----------------------------------------
   int pipeline_stages = 1;      // deepest per-octant rank pipeline
   int lagged_rank_edges = 0;    // cycle-broken rank edges (twisted decks)
   double modelled_pipeline_efficiency = 1.0;  // RankDag::modelled_efficiency
@@ -62,6 +57,10 @@ struct DistributedSweepResult {
 ///    per-rank idle fractions quantify. Rank-granularity cycles on
 ///    twisted decks are broken by lagging the weakest rank edges
 ///    (RankDag), which fall back to block-Jacobi staleness.
+///
+/// Either way each rank runs the single-domain TransportSolver::run()
+/// loop; only its sweeps and its reductions (core::IterationHooks) go
+/// through the network.
 class DistributedSweepSolver {
  public:
   DistributedSweepSolver(const snap::Input& input, int px, int py,
@@ -133,14 +132,6 @@ class DistributedSweepSolver {
   void unpack_halo(int rank, core::TransportSolver& solver, int src,
                    int oct_begin, int oct_end,
                    const std::vector<double>& payload) const;
-
-  /// Block Jacobi's bulk exchange: all octants to every neighbour, then
-  /// blocking receives (previous-iteration data by construction).
-  void exchange(Network& net, int rank, core::TransportSolver& solver,
-                int tag) const;
-
-  DistributedSweepResult run_jacobi();
-  DistributedSweepResult run_pipelined();
 };
 
 }  // namespace unsnap::comm

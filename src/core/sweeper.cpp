@@ -313,11 +313,4 @@ void Sweeper::sweep_end() {
   solve_seconds_ = solving > 0 ? total / solving : 0.0;
 }
 
-void Sweeper::sweep(SweepState& state) {
-  sweep_begin(state);
-  for (int oct = 0; oct < angular::kOctants; ++oct)
-    sweep_octant(state, oct);
-  sweep_end();
-}
-
 }  // namespace unsnap::core

@@ -30,15 +30,11 @@ class Sweeper {
  public:
   Sweeper(const Assembler& assembler, SweepConfig config);
 
-  /// One full sweep: zeroes phi, solves every (octant, angle, element,
-  /// group), leaves psi and the accumulated phi in `state`.
-  void sweep(SweepState& state);
-
-  /// Split sweep for drivers that interleave work between octants (the
-  /// pipelined halo exchange): begin zeroes the accumulators, each
-  /// sweep_octant solves one octant's angles, end folds up the timers.
-  /// sweep() is exactly begin + the eight octants in order + end, so the
-  /// split path is bitwise-identical to the monolithic one.
+  /// One full sweep is sweep_begin + the eight sweep_octant calls in
+  /// order + sweep_end, split so callers can interleave work between
+  /// octants (the pipelined halo exchange): begin zeroes phi and the
+  /// accumulators, each sweep_octant solves every (angle, element, group)
+  /// of one octant into psi and phi, end folds up the timers.
   void sweep_begin(SweepState& state);
   void sweep_octant(SweepState& state, int oct);
   void sweep_end();

@@ -13,14 +13,16 @@ namespace unsnap::core {
 
 namespace {
 
-// One observation per full-domain sweep (8 octants), not per element:
-// cheap enough to stay on unconditionally, so `unsnap-client metrics`
-// sees solver activity even for untraced runs.
+// One observation per full sweep (8 octants) of the solver's domain, a
+// rank's subdomain in distributed runs, not per element: cheap enough to
+// stay on unconditionally, so `unsnap-client metrics` sees solver
+// activity even for untraced runs.
 void count_sweep(double seconds) {
   static obs::Counter& total = obs::MetricsRegistry::global().counter(
-      "unsnap_sweeps_total", "Full-domain transport sweeps executed");
+      "unsnap_sweeps_total",
+      "Transport sweeps executed (distributed runs: one per rank sweep)");
   static obs::Histogram& latency = obs::MetricsRegistry::global().histogram(
-      "unsnap_sweep_seconds", "Wall time of one full-domain sweep",
+      "unsnap_sweep_seconds", "Wall time of one transport sweep",
       obs::Histogram::latency_bounds());
   total.inc();
   latency.observe(seconds);
@@ -197,25 +199,11 @@ void TransportSolver::capture_lag_snapshot() {
     }
 }
 
-void TransportSolver::sweep() {
+void TransportSolver::sweep(bool frozen_coupling) {
   OBS_SPAN("solver.sweep", "elements", disc_->num_elements());
-  phi_old_ = phi_;
-  if (lag_.active()) capture_lag_snapshot();
-  SweepState state = make_state();
-  sweeper_.sweep(state);
-  assemble_solve_seconds_ += sweeper_.last_sweep_seconds();
-  solve_seconds_ += sweeper_.last_solve_seconds();
-  count_sweep(sweeper_.last_sweep_seconds());
-  if (input_.any_reflective()) apply_reflective_boundaries();
-}
-
-void TransportSolver::sweep_frozen_coupling() {
-  OBS_SPAN("solver.sweep", "elements", disc_->num_elements());
-  SweepState state = make_state();
-  sweeper_.sweep(state);
-  assemble_solve_seconds_ += sweeper_.last_sweep_seconds();
-  solve_seconds_ += sweeper_.last_solve_seconds();
-  count_sweep(sweeper_.last_sweep_seconds());
+  sweep_begin(frozen_coupling);
+  for (int oct = 0; oct < angular::kOctants; ++oct) sweep_octant(oct);
+  sweep_end(frozen_coupling);
 }
 
 void TransportSolver::sweep_begin(bool frozen_coupling) {
@@ -236,6 +224,7 @@ void TransportSolver::sweep_end(bool frozen_coupling) {
   sweeper_.sweep_end();
   assemble_solve_seconds_ += sweeper_.last_sweep_seconds();
   solve_seconds_ += sweeper_.last_solve_seconds();
+  count_sweep(sweeper_.last_sweep_seconds());
   if (!frozen_coupling && input_.any_reflective())
     apply_reflective_boundaries();
 }
@@ -281,9 +270,18 @@ double TransportSolver::inner_change() const {
   return max_relative_change(phi_, phi_old_);
 }
 
-IterationResult TransportSolver::run() {
+IterationResult TransportSolver::run(const IterationHooks* hooks) {
   if (input_.iteration_scheme == snap::IterationScheme::Gmres)
-    return accel::run_gmres(*this);
+    return accel::run_gmres(*this, hooks);
+
+  // Single-domain defaults for the distributable seams (IterationHooks).
+  const auto sweep_once = [&] {
+    if (hooks != nullptr && hooks->sweep) hooks->sweep();
+    else sweep();
+  };
+  const auto global_max = [&](double v) {
+    return hooks != nullptr && hooks->reduce_max ? hooks->reduce_max(v) : v;
+  };
 
   IterationResult result;
   Stopwatch total;
@@ -296,10 +294,10 @@ IterationResult TransportSolver::run() {
     phi_outer = phi_;
     for (int inner = 0; inner < input_.iitm; ++inner) {
       update_inner_source();
-      sweep();
+      sweep_once();
       ++result.inners;
       ++result.sweeps;
-      result.final_inner_change = inner_change();
+      result.final_inner_change = global_max(inner_change());
       result.inner_history.push_back(result.final_inner_change);
       if (observer_ != nullptr)
         observer_->on_inner(result.inners - 1, result.sweeps,
@@ -309,7 +307,8 @@ IterationResult TransportSolver::run() {
         break;
     }
     ++result.outers;
-    result.final_outer_change = max_relative_change(phi_, phi_outer);
+    result.final_outer_change =
+        global_max(max_relative_change(phi_, phi_outer));
     // SNAP's outer test is a factor 100 looser than the inner epsi.
     if (result.final_outer_change < 100.0 * input_.epsi &&
         result.final_inner_change < input_.epsi) {

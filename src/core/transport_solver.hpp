@@ -1,6 +1,8 @@
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <span>
 
 #include "core/balance.hpp"
 #include "core/observer.hpp"
@@ -23,18 +25,35 @@ struct IterationResult {
   double assemble_solve_seconds = 0.0;  // wall time inside the sweeps
   double solve_seconds = 0.0;  // per-thread solve time (if timed; Sweeper)
   /// Max flux change per inner (SI: one entry per sweep; gmres: one entry
-  /// per restart cycle) — the same quantity comm::DistributedSweepResult
-  /// records globally.
+  /// per restart cycle); globally reduced when the loop runs distributed.
   std::vector<double> inner_history;
   /// gmres only: relative 2-norm residual per Krylov iteration (entry 0 is
   /// the initial residual of the first outer's inner solve).
   std::vector<double> residual_history;
 };
 
+/// Seams that let a distributed solve run TransportSolver::run() over one
+/// rank's slice of a partitioned problem (comm::DistributedSweepSolver):
+/// the sweeps become the rank's exchange sweeps, dot/norm2 become
+/// globally-reduced inner products, reduce_max wraps the pointwise
+/// convergence measures, and refresh also re-anchors cross-rank lagged
+/// couplings. Every reduction returns the identical value on every rank,
+/// so the per-rank iterations stay in lockstep and take the same
+/// branches. Unset members fall back to the single-domain behaviour.
+struct IterationHooks {
+  std::function<void()> sweep;         // default: sweep()
+  std::function<void()> sweep_frozen;  // default: sweep(true)
+  std::function<void()> refresh;       // default: refresh_lagged_couplings()
+  std::function<double(std::span<const double>, std::span<const double>)>
+      dot;
+  std::function<double(std::span<const double>)> norm2;
+  std::function<double(double)> reduce_max;  // global max of a local max
+};
+
 /// The UnSNAP mini-app: owns the discretisation, problem data and solution
 /// state and drives SNAP's outer/inner source iteration around the
 /// wavefront sweeps. The fine-grained methods (update_*_source, sweep,
-/// inner_change) are public so the block Jacobi driver and the tests can
+/// inner_change) are public so the distributed solver and the tests can
 /// interleave halo exchanges and inspect single iterations.
 class TransportSolver {
  public:
@@ -57,23 +76,26 @@ class TransportSolver {
   /// always runs oitm x iitm sweeps (the paper's timing setup). With
   /// input.iteration_scheme == Gmres the within-group solve is delegated
   /// to the sweep-preconditioned Krylov driver (accel::run_gmres), with
-  /// the same outer loop and convergence vocabulary.
-  IterationResult run();
+  /// the same outer loop and convergence vocabulary. `hooks` (optional)
+  /// runs either loop over one rank of a distributed solve; see
+  /// IterationHooks.
+  IterationResult run(const IterationHooks* hooks = nullptr);
 
   // --- single-iteration control ---------------------------------------
   void update_outer_source();  // group-to-group scattering (Jacobi)
   void update_inner_source();  // within-group scattering
   /// One full sweep; updates psi and phi, snapshots phi for inner_change()
   /// and refreshes reflective boundary data for the next sweep.
-  void sweep();
-  /// One sweep with the iteration-lagged couplings frozen: the cycle-lag
-  /// snapshot is not recaptured and the reflective boundary mirror is not
-  /// refreshed, so the sweep is an affine map of the flux moments alone.
-  /// This is the operator application of the matrix-free Krylov inners
-  /// (accel/) — Krylov basis vectors are not physical fluxes, and folding
-  /// them into the lagged couplings would destroy the linearity GMRES
-  /// needs. Updates psi and phi only (no phi_old_ snapshot).
-  void sweep_frozen_coupling();
+  ///
+  /// With frozen_coupling the iteration-lagged couplings stay frozen: the
+  /// cycle-lag snapshot is not recaptured and the reflective boundary
+  /// mirror is not refreshed, so the sweep is an affine map of the flux
+  /// moments alone. This is the operator application of the matrix-free
+  /// Krylov inners (accel/) — Krylov basis vectors are not physical
+  /// fluxes, and folding them into the lagged couplings would destroy the
+  /// linearity GMRES needs. Updates psi and phi only (no phi_old_
+  /// snapshot).
+  void sweep(bool frozen_coupling = false);
   /// Re-anchor the lagged couplings on the current (physical) psi: mirror
   /// the reflective boundaries and recapture the cycle-lag snapshot.
   /// Called by the Krylov inner driver after its closing physical sweep,
@@ -81,12 +103,11 @@ class TransportSolver {
   void refresh_lagged_couplings();
 
   /// Split sweep for drivers that interleave halo traffic between octants
-  /// (comm::DistributedSweepSolver's pipelined exchange). sweep() is
-  /// exactly sweep_begin() + the eight sweep_octant() calls in order +
-  /// sweep_end(), and sweep_frozen_coupling() the same with
-  /// frozen_coupling = true, so the split path stays bitwise-identical to
-  /// the monolithic sweeps. Between the calls the caller may rewrite the
-  /// halo slots of boundary_values(); nothing else may be touched.
+  /// (comm::DistributedSweepSolver's pipelined exchange). sweep(frozen)
+  /// is exactly sweep_begin(frozen) + the eight sweep_octant() calls in
+  /// order + sweep_end(frozen), so every sweep takes this one path.
+  /// Between the calls the caller may rewrite the halo slots of
+  /// boundary_values(); nothing else may be touched.
   void sweep_begin(bool frozen_coupling = false);
   void sweep_octant(int oct);
   void sweep_end(bool frozen_coupling = false);

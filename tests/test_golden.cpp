@@ -27,8 +27,9 @@
 // their own digests (fixed budgets put the two schemes at different
 // points on their iteration paths, so the frozen numbers differ per
 // scheme). The schedule-structure deck (no solve), the block Jacobi deck
-// (its own source-iteration loop) and the time-integrator deck skip under
-// gmres. Regenerate digests with both env vars set.
+// (its sweep reads previous-iteration halos, so the exchange refuses
+// gmres) and the time-integrator deck skip under gmres. Regenerate
+// digests with both env vars set.
 
 #include <gtest/gtest.h>
 
@@ -221,8 +222,8 @@ TEST(Golden, PulseDecay) {
 
 TEST(Golden, DomainDecomposition) {
   if (gmres_mode())
-    GTEST_SKIP() << "block Jacobi interleaves halo exchanges with its own "
-                    "source-iteration loop";
+    GTEST_SKIP() << "block Jacobi refuses gmres: its sweep reads "
+                    "previous-iteration halos, not the global operator";
   if (preassembly_mode())
     GTEST_SKIP() << "preassembly is a single-domain feature (the deck "
                     "validator rejects it with a decomposition)";

@@ -24,6 +24,7 @@
 #include "comm/distributed.hpp"
 #include "core/manufactured.hpp"
 #include "core/time_dependent.hpp"
+#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace unsnap {
@@ -535,6 +536,77 @@ TEST(Run, ObserverSeesDistributedGlobalEvents) {
   EXPECT_EQ(observer.inners, record.iteration->inners);
   EXPECT_EQ(observer.outers_ended, record.iteration->outers);
   EXPECT_EQ(observer.last_change, record.iteration->final_inner_change);
+}
+
+// --- distributed records --------------------------------------------------
+
+// A 4^3 deck on 2x2 ranks, 5 sweeps, one serial thread per rank.
+api::RunConfig two_by_two(snap::SweepExchange exchange) {
+  api::RunConfig config;
+  config.mesh.dims = {4, 4, 4};
+  config.materials.num_groups = 1;
+  config.angular.nang = 2;
+  config.iteration = {.iitm = 5, .oitm = 1};
+  config.decomposition = {.px = 2, .py = 2, .exchange = exchange};
+  config.execution.scheme = snap::ConcurrencyScheme::Serial;
+  config.execution.num_threads = 1;
+  return config;
+}
+
+TEST(Run, BlockJacobiRecordMeasuresHaloWaits) {
+  // Every jacobi rank blocks on its neighbours' halos after each sweep,
+  // so its idle time is measured, not left at a zero that would read as
+  // "never waited".
+  const api::RunRecord record =
+      api::Run(two_by_two(snap::SweepExchange::BlockJacobi)).execute();
+  ASSERT_TRUE(record.decomposition.has_value());
+  const api::RunRecord::DecompositionStats& d = *record.decomposition;
+  ASSERT_EQ(d.rank_idle_seconds.size(), 4u);
+  for (const double idle : d.rank_idle_seconds) EXPECT_GT(idle, 0.0);
+  EXPECT_GT(d.mean_idle_fraction, 0.0);
+  EXPECT_LE(d.mean_idle_fraction, d.max_idle_fraction);
+  EXPECT_LT(d.max_idle_fraction, 1.0);
+}
+
+TEST(Run, DistributedSweepsReachTheSweepMetrics) {
+  // Each rank sweep counts once in unsnap_sweeps_total, whichever
+  // exchange ran it.
+  const obs::Counter& total = obs::MetricsRegistry::global().counter(
+      "unsnap_sweeps_total",
+      "Transport sweeps executed (distributed runs: one per rank sweep)");
+  for (const snap::SweepExchange exchange :
+       {snap::SweepExchange::BlockJacobi, snap::SweepExchange::Pipelined}) {
+    const long before = total.value();
+    const api::RunRecord record = api::Run(two_by_two(exchange)).execute();
+    EXPECT_EQ(record.iteration->sweeps, 5) << snap::to_string(exchange);
+    EXPECT_EQ(total.value() - before, 4L * record.iteration->sweeps)
+        << snap::to_string(exchange);
+  }
+}
+
+TEST(Run, DistributedGmresRecordKeepsResidualHistory) {
+  // The pipelined sweep is an exact global sweep, so the ranks' GMRES
+  // reproduces the single-domain residuals up to the order of the
+  // reduced partial dot products.
+  api::RunConfig config = two_by_two(snap::SweepExchange::Pipelined);
+  config.iteration = {.iitm = 8,
+                      .oitm = 2,
+                      .scheme = snap::IterationScheme::Gmres};
+  CountingObserver observer;
+  api::Run run(config);
+  run.set_observer(&observer);
+  const api::RunRecord record = run.execute();
+  const std::vector<double>& history = record.iteration->residual_history;
+  EXPECT_GT(observer.krylov, 0);
+  EXPECT_EQ(static_cast<int>(history.size()), observer.krylov);
+
+  config.decomposition = {};
+  const api::RunRecord single = api::Run(config).execute();
+  const std::vector<double>& reference = single.iteration->residual_history;
+  ASSERT_EQ(history.size(), reference.size());
+  for (std::size_t i = 0; i < history.size(); ++i)
+    EXPECT_NEAR(history[i], reference[i], 1e-6 * std::fabs(reference[i]))
+        << "entry " << i;
 }
 
 }  // namespace

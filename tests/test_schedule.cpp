@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -100,6 +101,13 @@ struct ScheduleCase {
   std::uint64_t shuffle;
   int octant;
 };
+// Without a printer gtest prints the case as raw bytes, tail padding
+// included, and ctest names the tests after that print. No spaces or
+// semicolons, so the names stay single ctest tokens.
+void PrintTo(const ScheduleCase& c, std::ostream* os) {
+  *os << "twist_" << c.twist << "_shuffle_" << c.shuffle << "_octant_"
+      << c.octant;
+}
 class ScheduleSweep : public ::testing::TestWithParam<ScheduleCase> {};
 
 TEST_P(ScheduleSweep, ValidForEveryAngle) {

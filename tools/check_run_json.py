@@ -199,9 +199,14 @@ def check_record(record, path):
             "rank_idle_seconds": "numlist", "rank_sweep_seconds": "numlist",
         }, f"{path}.decomposition"):
             ranks = d["px"] * d["py"] * d["pz"]
-            expect(len(d["rank_idle_seconds"]) in (0, ranks),
+            expect(len(d["rank_idle_seconds"]) == ranks,
                    f"{path}.decomposition.rank_idle_seconds",
-                   f"expected 0 or {ranks} entries")
+                   f"expected {ranks} entries")
+            expect(0.0 <= d["mean_idle_fraction"] <= d["max_idle_fraction"]
+                   <= 1.0,
+                   f"{path}.decomposition",
+                   "expected 0 <= mean_idle_fraction <= max_idle_fraction "
+                   "<= 1")
 
     if "scale" in record:
         s = record["scale"]
