@@ -1,7 +1,8 @@
 // Reproduces Table II of the paper: assemble/solve time and the fraction
 // of that time spent in the local dense solve, for the hand-written
-// Gaussian elimination versus the LAPACK-style LU (the stand-in for Intel
-// MKL dgesv — see DESIGN.md §3), across finite element orders 1..4.
+// Gaussian elimination versus the LAPACK-style LU (standing in for Intel
+// MKL dgesv, which the build does not link), across finite element orders
+// 1..4.
 //
 // The paper runs 32^3 elements / 10 angles / 16 groups flat-MPI on 56
 // cores; the default here runs serial sweeps (one "rank") on per-order

@@ -92,7 +92,7 @@ void declare_options(Cli& cli) {
   cli.option("k-tol", "1e-7", "|dk| convergence criterion");
   cli.option("fission-tol", "1e-6", "fission-source change criterion");
   cli.option("outers", "100", "power-iteration outer cap");
-  cli.option("epsi", "1e-6", "per-groupset inner tolerance");
+  cli.option("epsi", "1e-6", "groupset inner tolerances floor at 0.1 epsi");
   cli.flag("extrapolate", "enable shifted fission-source extrapolation");
 }
 

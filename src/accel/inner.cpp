@@ -52,6 +52,7 @@ double max_pointwise_change(std::span<const double> delta,
 core::IterationResult run_gmres(core::TransportSolver& solver,
                                 const core::IterationHooks* hooks) {
   const snap::Input& input = solver.input();
+  const double tolerance = solver.tolerance();
   core::IterationResult result;
   Stopwatch total;
   total.start();
@@ -109,7 +110,7 @@ core::IterationResult run_gmres(core::TransportSolver& solver,
     KrylovOptions options;
     options.max_iters = input.gmres_max_iters;
     options.max_applies = krylov_applies;
-    if (!input.fixed_iterations) options.rel_tol = 0.1 * input.epsi;
+    if (!input.fixed_iterations) options.rel_tol = 0.1 * tolerance;
     if (hooks != nullptr) {
       options.dot = hooks->dot;
       options.norm2 = hooks->norm2;
@@ -126,7 +127,7 @@ core::IterationResult run_gmres(core::TransportSolver& solver,
         observer->on_inner(
             static_cast<int>(result.inner_history.size()) - 1,
             result.sweeps + sweeps, change);
-      return !input.fixed_iterations && change < input.epsi;
+      return !input.fixed_iterations && change < tolerance;
     };
 
     const LinearOperator op = [&](std::span<const double> v,
@@ -178,8 +179,8 @@ core::IterationResult run_gmres(core::TransportSolver& solver,
         std::span<const double>(diff).first(nphi),
         std::span<const double>(phi_outer).first(nphi)));
     // Same tests as the SI loop: SNAP's outer test is 100x looser.
-    result.converged = result.final_outer_change < 100.0 * input.epsi &&
-                       result.final_inner_change < input.epsi;
+    result.converged = result.final_outer_change < 100.0 * tolerance &&
+                       result.final_inner_change < tolerance;
     if (observer != nullptr)
       observer->on_outer_end(outer, result.final_outer_change,
                              result.converged);

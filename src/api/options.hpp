@@ -58,7 +58,9 @@ struct IterationSpec {
   double epsi = 1e-4;
   int iitm = 5;  // inners per outer (gmres: sweep budget per outer)
   int oitm = 1;  // outers
-  /// true = the paper's timing setup: exactly iitm x oitm sweeps.
+  /// true = the paper's timing setup: exactly iitm x oitm sweeps; false =
+  /// converge, with iitm x oitm as a cap (keff: see xs::KeffSolver). A
+  /// deck without the key binds false in mode = keff, true otherwise.
   bool fixed_iterations = true;
   /// Within-group solver: source iteration, or sweep-preconditioned
   /// matrix-free GMRES (src/accel/) for diffusive problems (c -> 1).

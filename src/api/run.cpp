@@ -429,6 +429,9 @@ RunRecord Run::execute_keff(RunRecord record) {
   folded.krylov_iters = result.krylov_iters;
   folded.final_inner_change = result.final_fission_change;
   folded.final_outer_change = result.final_k_change;
+  // The power iteration's convergence history: one fission-source change
+  // per outer, so sweeps_per_digit counts sweeps per digit of it.
+  folded.inner_history = result.fission_history;
   folded.total_seconds = result.total_seconds;
   folded.assemble_solve_seconds = result.assemble_solve_seconds;
   folded.solve_seconds = result.solve_seconds;

@@ -379,6 +379,11 @@ class Binder {
             "] (known: run, mesh, angular, materials, xs, source, boundary, "
             "iteration, decomposition, execution, time, output)");
     }
+    // Without the key, keff converges its power iteration (the inner
+    // policy of xs::KeffSolver); every other mode keeps the paper's
+    // fixed-work timing setup.
+    if (!seen_.contains("iteration.fixed_iterations"))
+      config_.iteration.fixed_iterations = config_.mode != RunMode::Keff;
     if (config_.xs.active()) resolve_library();
     try {
       config_.validate();

@@ -51,28 +51,6 @@ std::vector<double> Network::recv(int dst, int src, int tag) {
   return payload;
 }
 
-bool Network::probe(int dst, int src, int tag) {
-  UNSNAP_ASSERT(dst >= 0 && dst < num_ranks_);
-  check_aborted();
-  Mailbox& box = *mailboxes_[dst];
-  const std::lock_guard lock(box.mutex);
-  const auto it = box.queues.find(std::make_pair(src, tag));
-  return it != box.queues.end() && !it->second.empty();
-}
-
-std::optional<std::vector<double>> Network::try_recv(int dst, int src,
-                                                     int tag) {
-  UNSNAP_ASSERT(dst >= 0 && dst < num_ranks_);
-  check_aborted();
-  Mailbox& box = *mailboxes_[dst];
-  const std::lock_guard lock(box.mutex);
-  const auto it = box.queues.find(std::make_pair(src, tag));
-  if (it == box.queues.end() || it->second.empty()) return std::nullopt;
-  std::vector<double> payload = std::move(it->second.front());
-  it->second.pop_front();
-  return payload;
-}
-
 std::pair<std::pair<int, int>, std::vector<double>> Network::recv_any(
     int dst, const std::vector<std::pair<int, int>>& keys) {
   UNSNAP_ASSERT(dst >= 0 && dst < num_ranks_);

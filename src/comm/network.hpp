@@ -7,19 +7,18 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
 namespace unsnap::comm {
 
-/// In-process message-passing fabric standing in for MPI (no MPI library is
-/// available offline; see DESIGN.md §3). Ranks are threads; messages are
-/// tagged payload vectors moved through per-destination mailboxes with
-/// MPI-like matching on (source, tag). Implemented semantics are what the
-/// distributed sweep drivers need: blocking send/recv, the nonblocking
-/// probe/try_recv pair the pipelined schedule polls with, barrier and
-/// max/sum allreduce.
+/// In-process message-passing fabric standing in for MPI (the build links
+/// no MPI library, so distributed runs need no launcher). Ranks are
+/// threads; messages are tagged payload vectors moved through
+/// per-destination mailboxes with MPI-like matching on (source, tag).
+/// Implemented semantics are what the distributed sweep drivers need:
+/// buffered send, blocking recv and recv_any (the pipelined exchange
+/// waits on several keys at once), barrier and max/sum allreduce.
 ///
 /// A Network instantiates one thread (and, in the sweep drivers, one
 /// submesh) per rank, which is practical up to a few dozen ranks. For
@@ -41,17 +40,6 @@ class Network {
   /// Block until a message from (src, tag) arrives at dst; FIFO per key.
   /// Throws NumericalError if the network was aborted while waiting.
   std::vector<double> recv(int dst, int src, int tag);
-
-  /// Nonblocking MPI_Iprobe analogue: true iff recv(dst, src, tag) would
-  /// return without blocking. Throws NumericalError once the network has
-  /// been aborted, so a rank polling in a probe loop unblocks like one
-  /// parked in recv.
-  [[nodiscard]] bool probe(int dst, int src, int tag);
-
-  /// Nonblocking receive: pop the front message of (src, tag) if one is
-  /// queued (FIFO per key, same ordering as recv), nullopt otherwise.
-  /// Throws NumericalError once the network has been aborted.
-  std::optional<std::vector<double>> try_recv(int dst, int src, int tag);
 
   /// Block until any of the (src, tag) keys has a message queued at dst,
   /// then pop and return it with its key. Waits on the mailbox condition

@@ -92,7 +92,8 @@ TransportSolver::TransportSolver(std::shared_ptr<const Discretization> disc,
       qout_(input.layout, disc_->num_elements(), input.ng,
             disc_->num_nodes()),
       qin_(input.layout, disc_->num_elements(), input.ng,
-           disc_->num_nodes()) {
+           disc_->num_nodes()),
+      tolerance_(input.epsi) {
   require(disc_->ref().order() == input_.order,
           "TransportSolver: input order does not match discretisation");
   require(disc_->nang() == input_.nang,
@@ -303,19 +304,15 @@ IterationResult TransportSolver::run(const IterationHooks* hooks) {
         observer_->on_inner(result.inners - 1, result.sweeps,
                             result.final_inner_change);
       if (!input_.fixed_iterations &&
-          result.final_inner_change < input_.epsi)
+          result.final_inner_change < tolerance_)
         break;
     }
     ++result.outers;
     result.final_outer_change =
         global_max(max_relative_change(phi_, phi_outer));
-    // SNAP's outer test is a factor 100 looser than the inner epsi.
-    if (result.final_outer_change < 100.0 * input_.epsi &&
-        result.final_inner_change < input_.epsi) {
-      result.converged = true;
-    } else {
-      result.converged = false;
-    }
+    // SNAP's outer test is a factor 100 looser than the inner one.
+    result.converged = result.final_outer_change < 100.0 * tolerance_ &&
+                       result.final_inner_change < tolerance_;
     if (observer_ != nullptr)
       observer_->on_outer_end(outer, result.final_outer_change,
                               result.converged);
@@ -326,6 +323,11 @@ IterationResult TransportSolver::run(const IterationHooks* hooks) {
   result.assemble_solve_seconds = assemble_solve_seconds_;
   result.solve_seconds = solve_seconds_;
   return result;
+}
+
+void TransportSolver::set_tolerance(double tolerance) {
+  require(tolerance > 0.0, "TransportSolver: tolerance must be positive");
+  tolerance_ = tolerance;
 }
 
 BoundaryAngularFlux& TransportSolver::boundary_values() {

@@ -81,6 +81,12 @@ class TransportSolver {
   /// IterationHooks.
   IterationResult run(const IterationHooks* hooks = nullptr);
 
+  /// Tolerance of run()'s convergence tests: the inner test, the 100x
+  /// looser outer test and GMRES's residual target. input.epsi until set;
+  /// the k-eigenvalue driver tightens it outer by outer.
+  void set_tolerance(double tolerance);
+  [[nodiscard]] double tolerance() const { return tolerance_; }
+
   // --- single-iteration control ---------------------------------------
   void update_outer_source();  // group-to-group scattering (Jacobi)
   void update_inner_source();  // within-group scattering
@@ -211,6 +217,7 @@ class TransportSolver {
   std::unique_ptr<AngularFlux> qang_;
   std::shared_ptr<const PreassembledOperator> pre_;
   IterationObserver* observer_ = nullptr;
+  double tolerance_;
   double assemble_solve_seconds_ = 0.0;
   double solve_seconds_ = 0.0;
 

@@ -24,8 +24,10 @@ inline constexpr int kFacesPerHex = 6;
 class HexReferenceElement {
  public:
   /// quad_points_per_dim == 0 selects order + 2, which integrates every
-  /// basis-pair product on a trilinearly-mapped (twisted) hex exactly —
-  /// see DESIGN.md §5.
+  /// basis-pair product on a trilinearly-mapped (twisted) hex exactly:
+  /// per coordinate the pair has degree 2 * order and the Jacobian
+  /// determinant degree 2, and an (order + 2)-point Gauss rule is exact
+  /// to degree 2 * order + 3.
   explicit HexReferenceElement(int order, int quad_points_per_dim = 0);
 
   [[nodiscard]] int order() const { return order_; }

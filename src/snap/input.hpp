@@ -131,7 +131,8 @@ struct Input {
   int oitm = 1;
   /// true reproduces the paper's timing setup: run exactly iitm x oitm
   /// iterations regardless of convergence, so every configuration does
-  /// identical work.
+  /// identical work. false stops on the convergence tests, with iitm x oitm
+  /// as a cap (xs::KeffSolver reads it as its inner policy).
   bool fixed_iterations = true;
   /// Inner iteration scheme: plain source iteration (SNAP's loop) or
   /// sweep-preconditioned matrix-free GMRES (src/accel/). Under gmres,

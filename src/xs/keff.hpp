@@ -34,6 +34,9 @@ struct KeffResult {
   double final_k_change = 0.0;
   double final_fission_change = 0.0;
   std::vector<double> k_history;      // k after each outer
+  /// Max relative fission-source change of each outer (the delta the
+  /// outer test reads); ends at final_fission_change.
+  std::vector<double> fission_history;
   int inners = 0;                     // summed over groupset solves
   int sweeps = 0;
   int krylov_iters = 0;               // gmres scheme only
@@ -56,6 +59,20 @@ struct KeffResult {
 /// downscatter order with the freshest global flux (Gauss-Seidel), which
 /// makes a pure-downscatter library converge its scattering source in one
 /// pass per outer.
+///
+/// input.fixed_iterations picks the inner policy. With true every
+/// groupset solve spends its whole iitm x oitm budget in every outer (the
+/// paper's timing setup) and the power iteration stops on its last step:
+/// |dk| <= k_tol and delta <= fission_tol, where delta is the max relative
+/// fission-source change of the outer. With false iitm x oitm is a cap:
+/// outer k's groupset solves stop at the tolerance
+///   max(0.1 epsi, 0.1 delta_{k-1})   (delta_{-1} = 1),
+/// so early outers sweep a few times and late ones converge tightly. The
+/// power iteration then stops on a bound of its error rather than its
+/// step: |dk| <= k_tol and delta_k max(1, sigma/(1 - sigma)) <=
+/// fission_tol, with sigma = delta_k / delta_{k-1} the dominance-ratio
+/// estimate, never at outer 0 and never while sigma >= 1. A step shrinks
+/// when an outer does little work, not only when the error is small.
 ///
 /// All cross-thread reductions (fission production, source norms) are
 /// serial element-ordered loops, so k histories are bitwise-identical

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "api/driver.hpp"
@@ -191,6 +193,29 @@ TEST(DriverTest, MalformedScenarioArgumentsExitWithUsageError) {
   EXPECT_EQ(run_driver(2, dangling), 2);
   const char* stray[] = {"unsnap", "--frobnicate"};
   EXPECT_EQ(run_driver(2, stray), 2);
+}
+
+TEST(DriverTest, UnconvergedKeffDeckExitsOneUnlessItsBudgetIsFixed) {
+  // A keff deck converges its power iteration by default, so running out
+  // of max_outers is a failed run (exit 1); with fixed_iterations = true
+  // the budget is the point of the run and it exits 0.
+  const std::string path = ::testing::TempDir() + "unconverged_keff.inp";
+  const auto run_deck = [&](const std::string& iteration) {
+    {
+      std::ofstream out(path);
+      out << "[run]\nmode = keff\n[mesh]\ndims = 4 4 4\nextent = 4 4 4\n"
+             "[angular]\nnang = 2\n[materials]\nmaterial = fuel water\n"
+             "default_material = 1\nregion = 0 0.5 3.5 0.5 3.5 0.5 3.5\n"
+             "[xs]\nfile = " UNSNAP_DECK_DIR "/xs/criticality.xs\n"
+             "max_outers = 2\n[iteration]\n"
+          << iteration << "[execution]\nthreads = 1\n";
+    }
+    const char* argv[] = {"unsnap", "--deck", path.c_str(), "--quiet"};
+    return run_driver(4, argv);
+  };
+  EXPECT_EQ(run_deck(""), 1);
+  EXPECT_EQ(run_deck("fixed_iterations = true\n"), 0);
+  std::remove(path.c_str());
 }
 
 // ---- report helpers -----------------------------------------------------

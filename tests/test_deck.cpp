@@ -363,6 +363,33 @@ TEST(DeckBinding, KeffNeedsFissionData) {
                         "' carries no fission data (nu_sigf)");
 }
 
+TEST(DeckBinding, KeffDefaultsToAdaptiveInners) {
+  // Without the key a keff deck converges its power iteration; every
+  // other mode keeps the paper's fixed-work timing setup. The default is
+  // resolved after the whole deck is read, so section order is free.
+  const std::string keff = "[materials]\nmaterial = fuel water\n"
+                           "default_material = 1\n[xs]\nfile = " +
+                           shipped_xs() + "\n[run]\nmode = keff\n";
+  const api::RunConfig adaptive = api::read_deck_text(keff);
+  EXPECT_FALSE(adaptive.iteration.fixed_iterations);
+  const api::RunConfig fixed =
+      api::read_deck_text(keff + "[iteration]\nfixed_iterations = true\n");
+  EXPECT_TRUE(fixed.iteration.fixed_iterations);
+  for (const char* mode : {"solve", "mms", "time"})
+    EXPECT_TRUE(api::read_deck_text(std::string("[run]\nmode = ") + mode +
+                                    "\n")
+                    .iteration.fixed_iterations)
+        << mode;
+  // write_deck carries the resolved value, so a normalised deck rereads
+  // to the same config.
+  for (const api::RunConfig& config : {adaptive, fixed}) {
+    const std::string text = api::write_deck(config);
+    const api::RunConfig reread = api::read_deck_text(text);
+    EXPECT_TRUE(reread == config);
+    EXPECT_EQ(api::write_deck(reread), text);
+  }
+}
+
 // --- round-trips ----------------------------------------------------------
 
 TEST(DeckRoundTrip, DefaultConfig) {

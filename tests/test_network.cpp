@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -67,44 +66,6 @@ TEST(Network, SourcesKeepStreamsSeparate) {
   });
 }
 
-TEST(Network, ProbeSeesQueuedMessagesWithoutConsuming) {
-  Network net(2);
-  net.run([&](int rank) {
-    if (rank == 0) {
-      net.send(0, 1, 3, {42.0});
-      net.barrier();
-    } else {
-      EXPECT_FALSE(net.probe(1, 0, 9));  // wrong tag: nothing queued
-      net.barrier();                     // rank 0 has sent by now
-      EXPECT_TRUE(net.probe(1, 0, 3));
-      EXPECT_TRUE(net.probe(1, 0, 3));  // probing does not consume
-      EXPECT_DOUBLE_EQ(net.recv(1, 0, 3)[0], 42.0);
-      EXPECT_FALSE(net.probe(1, 0, 3));
-    }
-  });
-}
-
-TEST(Network, TryRecvIsNonBlockingAndFifoPerKey) {
-  Network net(2);
-  net.run([&](int rank) {
-    if (rank == 0) {
-      for (int i = 0; i < 5; ++i)
-        net.send(0, 1, 0, {static_cast<double>(i)});
-      net.barrier();
-    } else {
-      EXPECT_FALSE(net.try_recv(1, 0, 1).has_value());  // wrong tag
-      net.barrier();
-      // Same per-key FIFO order as blocking recv.
-      for (int i = 0; i < 5; ++i) {
-        const auto msg = net.try_recv(1, 0, 0);
-        ASSERT_TRUE(msg.has_value());
-        EXPECT_DOUBLE_EQ((*msg)[0], i);
-      }
-      EXPECT_FALSE(net.try_recv(1, 0, 0).has_value());  // drained
-    }
-  });
-}
-
 TEST(Network, RecvAnyDrainsMultipleSourcesBlocking) {
   Network net(3);
   net.run([&](int rank) {
@@ -129,18 +90,6 @@ TEST(Network, AbortUnblocksRecvAny) {
   EXPECT_THROW(net.run([&](int rank) {
                  if (rank == 1) throw InvalidInput("rank 1 exploded");
                  (void)net.recv_any(0, {{1, 0}});  // would block forever
-               }),
-               InvalidInput);
-}
-
-TEST(Network, AbortUnblocksAProbePollLoop) {
-  // A pipelined rank polls probe/try_recv instead of parking in recv; a
-  // failing peer must still release it via the abort, as with recv.
-  Network net(2);
-  EXPECT_THROW(net.run([&](int rank) {
-                 if (rank == 1) throw InvalidInput("rank 1 exploded");
-                 while (!net.probe(0, 1, 0))  // throws once aborted
-                   std::this_thread::yield();
                }),
                InvalidInput);
 }

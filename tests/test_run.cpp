@@ -461,6 +461,25 @@ TEST(Run, JsonContainsSchemaBlocks) {
   EXPECT_EQ(json.find("\"decomposition\""), std::string::npos);
 }
 
+TEST(Run, KeffRecordCarriesConvergenceHistory) {
+  // A keff record's iteration block is the power iteration's: one
+  // fission-source change per outer, ending at the folded final change,
+  // so sweeps_per_digit reports sweeps per digit of that convergence.
+  api::RunConfig config =
+      api::read_deck_file(std::string(UNSNAP_DECK_DIR) + "/criticality.inp");
+  config.execution.num_threads = 1;
+  config.output.report = false;
+  const api::RunRecord record = api::Run(config).execute();
+  ASSERT_TRUE(record.keff.has_value());
+  ASSERT_TRUE(record.iteration.has_value());
+  const core::IterationResult& it = *record.iteration;
+  ASSERT_EQ(static_cast<int>(it.inner_history.size()), record.keff->outers);
+  EXPECT_EQ(it.inner_history.back(), it.final_inner_change);
+  EXPECT_EQ(it.inner_history.back(), record.keff->final_fission_change);
+  EXPECT_GT(it.inner_history.front(), it.inner_history.back());
+  EXPECT_GT(api::sweeps_per_digit(it), 0.0);
+}
+
 TEST(Run, VersionInfoIsPopulated) {
   const api::VersionInfo& info = api::version_info();
   EXPECT_FALSE(info.version.empty());
