@@ -85,7 +85,8 @@ core::IterationResult run_gmres(core::TransportSolver& solver,
   std::vector<double> x(n), b(n), fx(n), phi_outer(n), diff(n);
 
   // iitm is the sweep budget per outer, shared with SI sweep for sweep;
-  // seed and closing sweeps bracket the Krylov applies.
+  // seed and closing sweeps bracket the Krylov applies (a converged solve
+  // skips the closing one).
   const int krylov_applies =
       std::max(input.iitm - 2, 2);
 
@@ -154,11 +155,16 @@ core::IterationResult run_gmres(core::TransportSolver& solver,
 
     // Closing physical sweep: psi consistent with the Krylov solution, the
     // lagged couplings re-anchored on it — the gmres twin of sweep()'s
-    // per-iteration bookkeeping.
-    scatter_flux(solver, x);
-    solver.update_inner_source();
-    sweep_frozen();
-    ++sweeps;
+    // per-iteration bookkeeping. A converged solve stops right after its
+    // cycle-start apply at the returned x, which left the solver holding
+    // F(x) from this very sweep, so only a solve that ran out of budget
+    // needs it.
+    if (!inner.converged) {
+      scatter_flux(solver, x);
+      solver.update_inner_source();
+      sweep_frozen();
+      ++sweeps;
+    }
     refresh();
     gather_flux(solver, fx);
 

@@ -38,11 +38,13 @@ void scatter_flux(core::TransportSolver& solver, std::span<const double> in);
 /// restarted GMRES over the swept operator. Every inner solve spends one
 /// sweep seeding b = F(0), at most iitm - 2 sweeps inside the Krylov
 /// loop (never fewer than 2, so tiny iitm still makes progress) and one
-/// closing physical sweep that restores a consistent psi and re-anchors
-/// the lagged couplings. `hooks` (optional) distributes the loop: its
-/// frozen sweep is then an exact slice of the global operator apply, and
-/// its reductions keep the per-rank Krylov recurrences in lockstep — see
-/// core::IterationHooks.
+/// closing physical sweep that restores a consistent psi, then re-anchors
+/// the lagged couplings. A converged solve skips the closing sweep: its
+/// last apply was the cycle-start residual at the returned x, which left
+/// the solver holding that same sweep. `hooks` (optional) distributes the
+/// loop: its frozen sweep is then an exact slice of the global operator
+/// apply, and its reductions keep the per-rank Krylov recurrences in
+/// lockstep — see core::IterationHooks.
 [[nodiscard]] core::IterationResult run_gmres(
     core::TransportSolver& solver,
     const core::IterationHooks* hooks = nullptr);

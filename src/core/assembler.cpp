@@ -19,62 +19,99 @@ LagSnapshot::LagSnapshot(const sweep::ScheduleSet& schedules, int ng,
   data_.assign(total, 0.0);
 }
 
+void ElementCoupling::resize(int n, int face_nodes) {
+  nf = face_nodes;
+  stream.assign(static_cast<std::size_t>(n) * n, 0.0);
+  faces.assign(static_cast<std::size_t>(fem::kFacesPerHex) * nf * nf, 0.0);
+}
+
 void AssemblyContext::resize(int n, int nf) {
   a = linalg::Matrix(n, n);
   rhs.assign(static_cast<std::size_t>(n), 0.0);
   upwind.assign(static_cast<std::size_t>(nf), 0.0);
   qtmp.assign(static_cast<std::size_t>(n), 0.0);
+  coupling.resize(n, nf);
   workspace.reserve(n);
   lanes = linalg::LaneBlock(fixed_extent(n, nf) ? n : 0);
 }
 
-template <int N, int NF, int S>
-void Assembler::assemble_matrix(double* a, int e, int g,
-                                const Vec3& omega) const {
+template <int N, int NF>
+void Assembler::couple(ElementCoupling& c, int e, const Vec3& omega,
+                       bool matrix) const {
   const ElementIntegrals& ints = disc_->integrals();
   const int n = linalg::extent<N>(ints.num_nodes());
   const int nf = linalg::extent<NF>(ints.nodes_per_face());
   const double wx = omega[0], wy = omega[1], wz = omega[2];
-  const double st = problem_->sigt_eg(e, g);
 
-  const double* m = ints.mass(e);
-  const double* gx = ints.grad(e, 0);
-  const double* gy = ints.grad(e, 1);
-  const double* gz = ints.grad(e, 2);
-  const int nn = n * n;
+  if (matrix) {
+    const double* gx = ints.grad(e, 0);
+    const double* gy = ints.grad(e, 1);
+    const double* gz = ints.grad(e, 2);
+    double* k = c.stream.data();
+    const int nn = n * n;
 #pragma omp simd
-  for (int idx = 0; idx < nn; ++idx)
-    a[idx * S] = st * m[idx] - (wx * gx[idx] + wy * gy[idx] + wz * gz[idx]);
+    for (int idx = 0; idx < nn; ++idx)
+      k[idx] = wx * gx[idx] + wy * gy[idx] + wz * gz[idx];
+  }
 
-  // Outflow faces contribute Omega . F to the matrix; inflow faces go to
-  // the right-hand side (the paper's data-dependent branch).
+  // The paper's data-dependent branch: outflow faces contribute Omega . F
+  // to the matrix, inflow faces to the right-hand side.
   for (int f = 0; f < fem::kFacesPerHex; ++f) {
     const Vec3 nrm = ints.face_normal(e, f);
-    if (nrm[0] * wx + nrm[1] * wy + nrm[2] * wz < 0.0) continue;
+    c.outflow[f] = !(nrm[0] * wx + nrm[1] * wy + nrm[2] * wz < 0.0);
+    if (c.outflow[f] && !matrix) continue;
     const double* fx = ints.face(e, f, 0);
     const double* fy = ints.face(e, f, 1);
     const double* fz = ints.face(e, f, 2);
-    const int* fn = ints.face_nodes(f);
-    for (int i = 0; i < nf; ++i) {
-      double* arow = a + static_cast<std::size_t>(fn[i]) * n * S;
-      const double* fxi = fx + static_cast<std::size_t>(i) * nf;
-      const double* fyi = fy + static_cast<std::size_t>(i) * nf;
-      const double* fzi = fz + static_cast<std::size_t>(i) * nf;
-      for (int j = 0; j < nf; ++j)
-        arow[fn[j] * S] += wx * fxi[j] + wy * fyi[j] + wz * fzi[j];
+    double* t = c.faces.data() + static_cast<std::size_t>(f) * nf * nf;
+    const int ff = nf * nf;
+#pragma omp simd
+    for (int idx = 0; idx < ff; ++idx)
+      t[idx] = wx * fx[idx] + wy * fy[idx] + wz * fz[idx];
+  }
+}
+
+template <int N, int NF, int S>
+void Assembler::assemble_matrix(double* a, const ElementCoupling& c, int e,
+                                std::span<const double> sigt) const {
+  const ElementIntegrals& ints = disc_->integrals();
+  const int n = linalg::extent<N>(ints.num_nodes());
+  const int nf = linalg::extent<NF>(ints.nodes_per_face());
+  // The systems side by side: one at S = 1, a run of lanes otherwise.
+  const int w = S == 1 ? 1 : static_cast<int>(sigt.size());
+  UNSNAP_ASSERT(static_cast<int>(sigt.size()) == w && w <= S);
+
+  const double* m = ints.mass(e);
+  const double* k = c.stream.data();
+  const int nn = n * n;
+  for (int l = 0; l < w; ++l) {
+    double* al = a + l;
+    const double st = sigt[static_cast<std::size_t>(l)];
+#pragma omp simd
+    for (int idx = 0; idx < nn; ++idx) al[idx * S] = st * m[idx] - k[idx];
+
+    // Outflow faces add their Omega . F_f, face after face.
+    for (int f = 0; f < fem::kFacesPerHex; ++f) {
+      if (!c.outflow[f]) continue;
+      const double* t = c.face(f);
+      const int* fn = ints.face_nodes(f);
+      for (int i = 0; i < nf; ++i) {
+        double* arow = al + static_cast<std::size_t>(fn[i]) * n * S;
+        const double* ti = t + static_cast<std::size_t>(i) * nf;
+        for (int j = 0; j < nf; ++j) arow[fn[j] * S] += ti[j];
+      }
     }
   }
 }
 
 template <int N, int NF>
-void Assembler::assemble_rhs(AssemblyContext& ctx, const SweepState& state,
-                             int oct, int a, int e, int g,
-                             const Vec3& omega) const {
+void Assembler::assemble_rhs(AssemblyContext& ctx, const ElementCoupling& c,
+                             const SweepState& state, int oct, int a, int e,
+                             int g) const {
   const ElementIntegrals& ints = disc_->integrals();
   const mesh::HexMesh& mesh = disc_->mesh();
   const int n = linalg::extent<N>(ints.num_nodes());
   const int nf = linalg::extent<NF>(ints.nodes_per_face());
-  const double wx = omega[0], wy = omega[1], wz = omega[2];
 
   // b = M * (q_in + q_ang + anisotropic moment expansion).
   const double* q = state.qin->at(e, g);
@@ -89,10 +126,10 @@ void Assembler::assemble_rhs(AssemblyContext& ctx, const SweepState& state,
     }
     if (state.qmom_hi != nullptr) {
       for (int m = 1; m < state.moment_count; ++m) {
-        const double c = state.ylm_src[m];
+        const double cm = state.ylm_src[m];
         const double* qm = (*state.qmom_hi)[m - 1].at(e, g);
 #pragma omp simd
-        for (int j = 0; j < n; ++j) qt[j] += c * qm[j];
+        for (int j = 0; j < n; ++j) qt[j] += cm * qm[j];
       }
     }
     q = qt;
@@ -113,8 +150,7 @@ void Assembler::assemble_rhs(AssemblyContext& ctx, const SweepState& state,
   // cycle-broken faces) or from prescribed boundary data; vacuum
   // boundaries contribute nothing.
   for (int f = 0; f < fem::kFacesPerHex; ++f) {
-    const Vec3 nrm = ints.face_normal(e, f);
-    if (nrm[0] * wx + nrm[1] * wy + nrm[2] * wz >= 0.0) continue;
+    if (c.outflow[f]) continue;
 
     const double* vals = nullptr;
     const int nbr = mesh.neighbor(e, f);
@@ -144,18 +180,13 @@ void Assembler::assemble_rhs(AssemblyContext& ctx, const SweepState& state,
       continue;  // vacuum
     }
 
-    const double* fx = ints.face(e, f, 0);
-    const double* fy = ints.face(e, f, 1);
-    const double* fz = ints.face(e, f, 2);
+    const double* t = c.face(f);
     const int* fn = ints.face_nodes(f);
     for (int i = 0; i < nf; ++i) {
-      const double* fxi = fx + static_cast<std::size_t>(i) * nf;
-      const double* fyi = fy + static_cast<std::size_t>(i) * nf;
-      const double* fzi = fz + static_cast<std::size_t>(i) * nf;
+      const double* ti = t + static_cast<std::size_t>(i) * nf;
       double acc = 0.0;
 #pragma omp simd reduction(+ : acc)
-      for (int j = 0; j < nf; ++j)
-        acc += (wx * fxi[j] + wy * fyi[j] + wz * fzi[j]) * vals[j];
+      for (int j = 0; j < nf; ++j) acc += ti[j] * vals[j];
       rhs[fn[i]] -= acc;
     }
   }
@@ -167,14 +198,17 @@ void Assembler::process(AssemblyContext& ctx, const SweepState& state,
                         double weight, linalg::SolverKind solver,
                         bool atomic_phi, bool time_solve) const {
   const int n = linalg::extent<N>(disc_->num_nodes());
-  assemble_rhs<N, NF>(ctx, state, oct, a, e, g, omega);
+  const bool assemble = state.pre == nullptr;
+  couple<N, NF>(ctx.coupling, e, omega, assemble);
+  assemble_rhs<N, NF>(ctx, ctx.coupling, state, oct, a, e, g);
 
   const double* psi;
-  if (state.pre != nullptr) {
+  if (!assemble) {
     psi = state.pre->apply<N>(ctx, oct, a, e, g);
   } else {
     double* rhs = ctx.rhs.data();
-    assemble_matrix<N, NF>(ctx.a.data(), e, g, omega);
+    const double st = problem_->sigt_eg(e, g);
+    assemble_matrix<N, NF>(ctx.a.data(), ctx.coupling, e, {&st, 1});
     if (time_solve) ctx.solve_watch.start();
     linalg::solve_in_place<N>(solver, ctx.a.view(),
                               {rhs, static_cast<std::size_t>(n)},
@@ -196,12 +230,38 @@ void Assembler::flush(AssemblyContext& ctx,
     double* a = ctx.lanes.a();
     double* b = ctx.lanes.b();
     double* rhs = ctx.rhs.data();
-    for (int l = 0; l < lanes; ++l) {
-      const SweepUnit& u = ctx.queue[l];
-      assemble_matrix<N, NF, kLanes>(a + l, u.e, u.g, u.omega);
-      assemble_rhs<N, NF>(ctx, *u.state, u.oct, u.a, u.e, u.g, u.omega);
-      for (int i = 0; i < N; ++i) b[i * kLanes + l] = rhs[i];
+    const bool solve = ctx.queue[0].state->pre == nullptr;
+    // Each run of consecutive lanes on one (angle, element) -- under the
+    // default orders, an element's groups -- shares one coupling.
+    for (int l0 = 0; l0 < lanes;) {
+      const SweepUnit& u = ctx.queue[l0];
+      int l1 = l0 + 1;
+      while (l1 < lanes && ctx.queue[l1].e == u.e &&
+             ctx.queue[l1].a == u.a && ctx.queue[l1].oct == u.oct)
+        ++l1;
+      couple<N, NF>(ctx.coupling, u.e, u.omega, /*matrix=*/solve);
+      if (solve) {
+        double sigt[kLanes];
+        for (int l = l0; l < l1; ++l)
+          sigt[l - l0] = problem_->sigt_eg(u.e, ctx.queue[l].g);
+        assemble_matrix<N, NF, kLanes>(
+            a + l0, ctx.coupling, u.e,
+            {sigt, static_cast<std::size_t>(l1 - l0)});
+      }
+      for (int l = l0; l < l1; ++l) {
+        const SweepUnit& v = ctx.queue[l];
+        assemble_rhs<N, NF>(ctx, ctx.coupling, *v.state, v.oct, v.a, v.e,
+                            v.g);
+        if (solve)
+          for (int i = 0; i < N; ++i) b[i * kLanes + l] = rhs[i];
+        else
+          store<N>(*v.state, v.oct, v.a, v.e, v.g, v.weight,
+                   v.state->pre->apply<N>(ctx, v.oct, v.a, v.e, v.g),
+                   options.atomic_phi);
+      }
+      l0 = l1;
     }
+    if (!solve) return;
     if (options.time_solve) ctx.solve_watch.start();
     linalg::gauss_solve_lanes<N>(
         ctx.lanes, lanes,
@@ -256,18 +316,23 @@ void Assembler::store(const SweepState& state, int oct, int a, int e, int g,
   }
 }
 
-template void Assembler::assemble_matrix<8, 4>(double*, int, int,
-                                               const Vec3&) const;
+template void Assembler::couple<8, 4>(ElementCoupling&, int, const Vec3&,
+                                      bool) const;
+template void Assembler::couple<linalg::kDynamic, linalg::kDynamic>(
+    ElementCoupling&, int, const Vec3&, bool) const;
+template void Assembler::assemble_matrix<8, 4>(
+    double*, const ElementCoupling&, int, std::span<const double>) const;
 template void Assembler::assemble_matrix<8, 4, linalg::kLanes>(
-    double*, int, int, const Vec3&) const;
+    double*, const ElementCoupling&, int, std::span<const double>) const;
 template void Assembler::assemble_matrix<linalg::kDynamic, linalg::kDynamic>(
-    double*, int, int, const Vec3&) const;
+    double*, const ElementCoupling&, int, std::span<const double>) const;
 template void Assembler::assemble_rhs<8, 4>(AssemblyContext&,
+                                            const ElementCoupling&,
                                             const SweepState&, int, int, int,
-                                            int, const Vec3&) const;
+                                            int) const;
 template void Assembler::assemble_rhs<linalg::kDynamic, linalg::kDynamic>(
-    AssemblyContext&, const SweepState&, int, int, int, int,
-    const Vec3&) const;
+    AssemblyContext&, const ElementCoupling&, const SweepState&, int, int,
+    int, int) const;
 template void Assembler::process<8, 4>(AssemblyContext&, const SweepState&,
                                        int, int, int, int, const Vec3&,
                                        double, linalg::SolverKind, bool,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "core/discretization.hpp"
@@ -37,6 +38,25 @@ struct KernelOptions {
   return n == 8 && nf == 4;
 }
 
+/// The group-independent part of one (angle, element)'s system. Of
+///   A_g = sigma_g M - Omega . G + sum_{outflow f} Omega . F_f
+/// only sigma_g M depends on the group, so the streaming term Omega . G
+/// and each face's Omega . F_f are built once and shared by every group the
+/// sweep solves for that (angle, element). outflow[f] says whether face f's
+/// coupling joins the matrix or, as an inflow face, multiplies the upwind
+/// trace on the right-hand side.
+struct ElementCoupling {
+  AlignedVector<double> stream;  // n x n, Omega . G
+  AlignedVector<double> faces;   // kFacesPerHex blocks of nf x nf, Omega . F_f
+  std::array<bool, fem::kFacesPerHex> outflow{};
+  int nf = 0;
+
+  [[nodiscard]] const double* face(int f) const {
+    return faces.data() + static_cast<std::size_t>(f) * nf * nf;
+  }
+  void resize(int n, int nf);
+};
+
 /// Per-thread scratch for the assemble/solve kernel; allocated once per
 /// sweep thread so the hot loop never touches the allocator.
 struct AssemblyContext {
@@ -44,6 +64,7 @@ struct AssemblyContext {
   AlignedVector<double> rhs;         // n
   AlignedVector<double> upwind;      // nf gathered neighbour trace
   AlignedVector<double> qtmp;        // n source staging (angular source)
+  ElementCoupling coupling;          // of the (angle, element) in hand
   linalg::SolveWorkspace workspace;
   double solve_seconds = 0.0;        // accumulated when timing is enabled
   Stopwatch solve_watch;
@@ -150,6 +171,12 @@ void with_extent(const Discretization& disc, F&& f) {
 ///   b = M (q_in + q_ang) - sum_{inflow f} Omega . F_f psi_upwind
 /// solve A psi = b, store psi and accumulate the scalar flux.
 ///
+/// Assembly runs in two steps: couple() builds the (angle, element)'s
+/// group-independent terms, then assemble_matrix and assemble_rhs add each
+/// group's sigma_t M, source and upwind trace. Every entry is summed in the
+/// same order as a one-step assembly would, so sharing the coupling
+/// between groups changes no bit of a result.
+///
 /// The kernels are templates over the extent (N nodes, NF per face; see
 /// Extent), instantiated for <8, 4> and for the dynamic default.
 class Assembler {
@@ -157,17 +184,29 @@ class Assembler {
   Assembler(const Discretization& disc, const ProblemData& problem)
       : disc_(&disc), problem_(&problem) {}
 
-  /// Assemble the matrix only (shared with the pre-assembly engine and the
-  /// assembly-cost benchmarks). Entry (i, j) goes to a[(i * n + j) * S]:
-  /// S = 1 is a contiguous n x n matrix, S = linalg::kLanes one lane of a
-  /// linalg::LaneBlock.
-  template <int N = linalg::kDynamic, int NF = linalg::kDynamic, int S = 1>
-  void assemble_matrix(double* a, int e, int g, const Vec3& omega) const;
-
-  /// Assemble the right-hand side only into ctx.rhs.
+  /// Build element e's coupling for direction omega into c: the outflow
+  /// flags and inflow faces' Omega . F_f always, and with `matrix` also
+  /// Omega . G and the outflow faces' Omega . F_f (the pre-assembled path
+  /// assembles only right-hand sides and needs neither).
   template <int N = linalg::kDynamic, int NF = linalg::kDynamic>
-  void assemble_rhs(AssemblyContext& ctx, const SweepState& state, int oct,
-                    int a, int e, int g, const Vec3& omega) const;
+  void couple(ElementCoupling& c, int e, const Vec3& omega,
+              bool matrix) const;
+
+  /// Assemble the matrices of sigt.size() systems that share element e and
+  /// the coupling c (built with `matrix`) and differ only in sigma_t:
+  /// entry (i, j) of system l goes to a[(i * n + j) * S + l]. S = 1 is one
+  /// contiguous n x n matrix; S = linalg::kLanes fills lanes of a
+  /// linalg::LaneBlock, starting at the lane `a` points to.
+  template <int N = linalg::kDynamic, int NF = linalg::kDynamic, int S = 1>
+  void assemble_matrix(double* a, const ElementCoupling& c, int e,
+                       std::span<const double> sigt) const;
+
+  /// Assemble the right-hand side only into ctx.rhs, reading the inflow
+  /// faces' Omega . F_f from c (element e's coupling for the unit's angle).
+  template <int N = linalg::kDynamic, int NF = linalg::kDynamic>
+  void assemble_rhs(AssemblyContext& ctx, const ElementCoupling& c,
+                    const SweepState& state, int oct, int a, int e,
+                    int g) const;
 
   /// Full kernel: assemble, solve (or apply the pre-assembled inverse),
   /// scatter psi, accumulate phi with quadrature weight `weight`.
@@ -181,13 +220,16 @@ class Assembler {
 
   /// The batch entry point every sweep scheme feeds. At the fixed extent,
   /// ge and ge-nopivot queue the unit on ctx and, once linalg::kLanes are
-  /// queued, solve them together: each lane's system is assembled into
-  /// ctx.lanes, one linalg::gauss_solve_lanes call eliminates them all,
-  /// and psi and phi are stored lane by lane in submission order. A lane's
-  /// psi is bitwise the one process() would give, so neither the lane nor
-  /// the batch a unit lands in changes a result. Everything else (lu, the
-  /// dynamic extent, preassembled operators) runs process() on the unit
-  /// at once.
+  /// queued, solve them together: consecutive lanes of one (angle,
+  /// element) share one couple() call, each lane's system is assembled
+  /// into ctx.lanes, one linalg::gauss_solve_lanes call eliminates them
+  /// all, and psi and phi are stored lane by lane in submission order. A
+  /// lane's psi is bitwise the one process() would give, so neither the
+  /// lane nor the batch a unit lands in changes a result. Units swept
+  /// through a preassembled operator queue the same way, so a run shares
+  /// its right-hand-side couplings, and each is applied and stored in
+  /// submission order. Everything else (lu, the dynamic extent) runs
+  /// process() on the unit at once.
   template <int N, int NF>
   void submit(AssemblyContext& ctx, const SweepUnit& unit,
               const KernelOptions& options) const;
@@ -215,14 +257,18 @@ class Assembler {
 template <int N, int NF>
 void Assembler::submit(AssemblyContext& ctx, const SweepUnit& unit,
                        const KernelOptions& options) const {
+  const bool pre = unit.state->pre != nullptr;
   if (N == linalg::kDynamic ||
-      options.solver == linalg::SolverKind::LapackLu ||
-      unit.state->pre != nullptr) {
+      (!pre && options.solver == linalg::SolverKind::LapackLu)) {
     process<N, NF>(ctx, *unit.state, unit.oct, unit.a, unit.e, unit.g,
                    unit.omega, unit.weight, options.solver,
                    options.atomic_phi, options.time_solve);
     return;
   }
+  // A queue holds units of one kind: all solved in lockstep, or all
+  // applied through a preassembled operator.
+  if (ctx.queued > 0 && (ctx.queue[0].state->pre != nullptr) != pre)
+    flush<N, NF>(ctx, options);
   ctx.queue[ctx.queued++] = unit;
   if (ctx.queued == linalg::kLanes) flush<N, NF>(ctx, options);
 }

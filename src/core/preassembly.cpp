@@ -36,15 +36,21 @@ void PreassembledOperator::build(const Assembler& assembler) {
     linalg::Matrix scratch(n, n);
     linalg::Matrix inverse(n, n);
     std::vector<int> piv(static_cast<std::size_t>(n));
+    ElementCoupling coupling;
+    coupling.resize(n, disc.nodes_per_face());
 #pragma omp for collapse(2) schedule(dynamic, 8)
     for (int oct = 0; oct < angular::kOctants; ++oct) {
       for (int a = 0; a < nang_; ++a) {
         errors.capture([&] {
           const Vec3 omega = disc.quadrature().direction(oct, a);
           for (int e = 0; e < ne_; ++e) {
+            // One coupling serves every group of the (angle, element).
+            assembler.couple<N, NF>(coupling, e, omega, /*matrix=*/true);
             for (int g = 0; g < ng_; ++g) {
               double* stored = mats_.get() + index(oct, a, e, g) * nn;
-              assembler.assemble_matrix<N, NF>(scratch.data(), e, g, omega);
+              const double sigt = assembler.problem().sigt_eg(e, g);
+              assembler.assemble_matrix<N, NF>(scratch.data(), coupling, e,
+                                               {&sigt, 1});
               linalg::invert<N>(scratch.view(), inverse.view(), piv);
               // Stored column-major: apply() is then n axpys.
               for (int j = 0; j < n; ++j)

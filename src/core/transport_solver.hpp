@@ -104,8 +104,8 @@ class TransportSolver {
   void sweep(bool frozen_coupling = false);
   /// Re-anchor the lagged couplings on the current (physical) psi: mirror
   /// the reflective boundaries and recapture the cycle-lag snapshot.
-  /// Called by the Krylov inner driver after its closing physical sweep,
-  /// matching what sweep() does around each source iteration.
+  /// Called by the Krylov inner driver once psi holds the swept Krylov
+  /// solution, matching what sweep() does around each source iteration.
   void refresh_lagged_couplings();
 
   /// Split sweep for drivers that interleave halo traffic between octants

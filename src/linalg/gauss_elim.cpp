@@ -23,11 +23,33 @@ namespace {
 // (a, b) intact and returns false, without a solution, if some lane needs
 // a row swap, a zero or non-finite pivot, or the skip of a zero
 // multiplier; otherwise every lane did exactly the scalar arithmetic.
+//
+// The lockstep kernel does not branch on those cases per lane and row. It
+// folds each into a per-lane accumulator that a NaN cannot mask, and tests
+// the accumulators once, after the last column:
+//   pivot_min  smallest |pivot|            -> 0 for a zero pivot
+//   pivot_nan  sum of pivot * 0            -> NaN for an infinite or NaN one
+//   climb      largest |below| - |pivot|   -> > 0 where the scalar search
+//                                             would swap rows
+//   factor_min smallest |multiplier|       -> 0 for a row the scalar skips
+// A NaN operand fails every comparison in the scalar kernel, and the
+// `x < acc ? x : acc` updates below leave the accumulator untouched by it,
+// so each accumulator trips in exactly the cases the scalar test does.
 template <int N, int W, int S, bool kPivot>
-bool eliminate(double* a, double* b, double* ea, double* x, int n, int ld) {
+bool eliminate(double* a, double* b, double* ea, double* x, int n_in,
+               int ld_in) {
+  const int n = extent<N>(n_in), ld = extent<N>(ld_in);
   constexpr bool kScalar = S == 1;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   static_assert(W >= 1 && W <= S);
-  bool bail = false;  // the lockstep pass cannot follow some lane
+  double pivot_min[W], pivot_nan[W], climb[W], factor_min[W];
+  if constexpr (!kScalar)
+    for (int l = 0; l < W; ++l) {
+      pivot_min[l] = kInf;
+      pivot_nan[l] = 0.0;
+      climb[l] = -kInf;
+      factor_min[l] = kInf;
+    }
 
   for (int k = 0; k < n; ++k) {
     double* const m = k == 0 ? a : ea;  // rows as column k sees them
@@ -45,38 +67,44 @@ bool eliminate(double* a, double* b, double* ea, double* x, int n, int ld) {
         std::swap(x[k], x[piv]);  // x is b in the scalar kernels
       }
     }
-    if constexpr (!kScalar) {
-      // The scalar checks, for every lane at once: a pivot that is zero or
-      // non-finite, and (pivoting) a row below with a larger magnitude.
+    double inv[W], bk[W], pivot_abs[W];
+    if constexpr (kScalar) {
+      const double diag = rk[k];
+      if (diag == 0.0 || !std::isfinite(diag))
+        throw NumericalError("gauss_solve: zero pivot at column " +
+                             std::to_string(k));
+      inv[0] = 1.0 / diag;
+      bk[0] = bm[k];
+    } else {
+#pragma omp simd
       for (int l = 0; l < W; ++l) {
-        const double d = std::fabs(rk[k * S + l]);
-        bail |= !(d > 0.0 && d <= std::numeric_limits<double>::max());
+        const double diag = rk[k * S + l];
+        pivot_abs[l] = std::fabs(diag);
+        pivot_min[l] =
+            pivot_abs[l] < pivot_min[l] ? pivot_abs[l] : pivot_min[l];
+        pivot_nan[l] += diag * 0.0;
+        inv[l] = 1.0 / diag;
+        bk[l] = bm[k * S + l];
       }
-      if constexpr (kPivot)
-        for (int i = k + 1; i < n; ++i)
-          for (int l = 0; l < W; ++l)
-            bail |= std::fabs(m[(i * ld + k) * S + l]) >
-                    std::fabs(rk[k * S + l]);
-    }
-    double inv[W], bk[W];
-    for (int l = 0; l < W; ++l) {
-      const double diag = rk[k * S + l];
-      if constexpr (kScalar)
-        if (diag == 0.0 || !std::isfinite(diag))
-          throw NumericalError("gauss_solve: zero pivot at column " +
-                               std::to_string(k));
-      inv[l] = 1.0 / diag;
-      bk[l] = bm[k * S + l];
     }
     for (int i = k + 1; i < n; ++i) {
       const double* ri = m + i * ld * S;
       double* wi = ea + i * ld * S;
       double factor[W];
-      for (int l = 0; l < W; ++l) factor[l] = ri[k * S + l] * inv[l];
       if constexpr (kScalar) {
+        factor[0] = ri[k] * inv[0];
         if (factor[0] == 0.0) continue;
       } else {
-        for (int l = 0; l < W; ++l) bail |= factor[l] == 0.0;
+#pragma omp simd
+        for (int l = 0; l < W; ++l) {
+          factor[l] = ri[k * S + l] * inv[l];
+          const double f = std::fabs(factor[l]);
+          factor_min[l] = f < factor_min[l] ? f : factor_min[l];
+          if constexpr (kPivot) {
+            const double c = std::fabs(ri[k * S + l]) - pivot_abs[l];
+            climb[l] = c > climb[l] ? c : climb[l];
+          }
+        }
       }
       // The same update either way; the loop that vectorises differs.
       if constexpr (kScalar) {
@@ -88,11 +116,18 @@ bool eliminate(double* a, double* b, double* ea, double* x, int n, int ld) {
           for (int l = 0; l < W; ++l)
             wi[j * S + l] = ri[j * S + l] - factor[l] * rk[j * S + l];
       }
+#pragma omp simd
       for (int l = 0; l < W; ++l)
         x[i * S + l] = bm[i * S + l] - factor[l] * bk[l];
     }
   }
-  if (bail) return false;
+  if constexpr (!kScalar) {
+    bool bail = false;  // the lockstep pass cannot follow some lane
+    for (int l = 0; l < W; ++l)
+      bail |= !(pivot_min[l] > 0.0) | !(pivot_nan[l] == 0.0) |
+              (climb[l] > 0.0) | (factor_min[l] == 0.0);
+    if (bail) return false;
+  }
 
   // Back substitution; x becomes the solution. At a fixed extent each lane
   // sums j in ascending order, so the lanes and the scalar kernel round

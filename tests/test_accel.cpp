@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -316,9 +318,54 @@ TEST(TransportGmres, HistoriesAreRecordedForBothSchemes) {
   solve_flux(input, &gm);
   EXPECT_FALSE(gm.inner_history.empty());
   EXPECT_FALSE(gm.residual_history.empty());
-  EXPECT_GT(gm.sweeps, gm.krylov_iters);  // seed + closing sweeps on top
+  EXPECT_GT(gm.sweeps, gm.krylov_iters);  // seed + residual applies on top
   EXPECT_EQ(gm.sweeps, gm.inners);
   EXPECT_EQ(gm.inner_history.back(), gm.final_inner_change);
+}
+
+// A converged solve stops on its cycle-start residual apply at the
+// returned x, which left the solver holding F(x) from that very sweep, so
+// run_gmres skips the closing sweep. With one outer the count is exact:
+// the seed sweep plus one sweep per operator apply, and every apply
+// records one residual. Redoing the skipped sweep by hand must give the
+// flux the solve left, bit for bit.
+TEST(TransportGmres, ConvergedSolveSkipsTheRepeatedClosingSweep) {
+  snap::Input input = base_deck();
+  converge(input, snap::IterationScheme::Gmres);
+  input.oitm = 1;
+  core::TransportSolver solver(input);
+  int sweeps = 0;
+  std::vector<double> last_x;  // the flux the last sweep started from
+  core::IterationHooks hooks;
+  hooks.sweep_frozen = [&] {
+    const core::NodalField& phi = solver.scalar_flux();
+    last_x.assign(phi.data(), phi.data() + phi.size());
+    solver.sweep(/*frozen_coupling=*/true);
+    ++sweeps;
+  };
+  const core::IterationResult result = solver.run(&hooks);
+  ASSERT_LT(result.final_inner_change, input.epsi);  // the solve converged
+  EXPECT_EQ(result.sweeps, sweeps);
+  EXPECT_EQ(result.inners, sweeps);
+  EXPECT_EQ(result.sweeps,
+            1 + static_cast<int>(result.residual_history.size()));
+
+  const core::NodalField phi = solver.scalar_flux();
+  const core::AngularFlux psi = solver.angular_flux();
+  core::NodalField& live = solver.scalar_flux();
+  ASSERT_EQ(last_x.size(), live.size());
+  std::copy(last_x.begin(), last_x.end(), live.data());
+  solver.update_inner_source();
+  solver.sweep(/*frozen_coupling=*/true);
+  for (std::size_t i = 0; i < phi.size(); ++i)
+    ASSERT_EQ(std::memcmp(phi.data() + i, live.data() + i, sizeof(double)),
+              0)
+        << "phi entry " << i;
+  const core::AngularFlux& redone = solver.angular_flux();
+  for (std::size_t i = 0; i < psi.size(); ++i)
+    ASSERT_EQ(
+        std::memcmp(psi.data() + i, redone.data() + i, sizeof(double)), 0)
+        << "psi entry " << i;
 }
 
 TEST(TransportGmres, ReflectiveBoundariesAgreeWithSi) {

@@ -368,10 +368,8 @@ struct LaneSystems {
   [[nodiscard]] int lanes() const { return static_cast<int>(a.size()); }
 };
 
-// Pack the systems into a block, solve them in lockstep, and require every
-// lane's solution to be bitwise the scalar kernel's on the same system.
-// Returns what gauss_solve_lanes returned (false: it fell back).
-bool expect_lanes_match_scalar(const LaneSystems& systems, bool pivot) {
+// The systems packed into the lanes of a block.
+LaneBlock pack_lanes(const LaneSystems& systems) {
   LaneBlock block(8);
   for (int l = 0; l < systems.lanes(); ++l)
     for (int i = 0; i < 8; ++i) {
@@ -379,6 +377,14 @@ bool expect_lanes_match_scalar(const LaneSystems& systems, bool pivot) {
       for (int j = 0; j < 8; ++j)
         block.a()[(i * 8 + j) * kLanes + l] = systems.a[l](i, j);
     }
+  return block;
+}
+
+// Pack the systems into a block, solve them in lockstep, and require every
+// lane's solution to be bitwise the scalar kernel's on the same system.
+// Returns what gauss_solve_lanes returned (false: it fell back).
+bool expect_lanes_match_scalar(const LaneSystems& systems, bool pivot) {
+  LaneBlock block = pack_lanes(systems);
   const bool lockstep = gauss_solve_lanes<8>(block, systems.lanes(), pivot);
   for (int l = 0; l < systems.lanes(); ++l) {
     Matrix a = systems.a[l];
@@ -453,6 +459,87 @@ TEST(LaneSolve, PivotingOrZeroMultiplierLaneFallsBackBitwise) {
                 random_vector(8, rng));
   EXPECT_THROW(expect_lanes_match_scalar(systems, /*pivot=*/false),
                NumericalError);
+}
+
+// The lockstep kernel tests its bail conditions once per block, from
+// per-lane accumulators; a NaN or an infinity must trip them in exactly
+// the cases where the scalar kernel throws or pivots, wherever the odd
+// lane sits. The scalar kernel's verdict on the odd system alone is the
+// reference: its error text, or a bitwise-equal solution.
+TEST(LaneSolve, NonFinitePivotLaneBailsExactlyWhereTheScalarKernelDoes) {
+  Rng rng(880);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Odd {
+    int row, col;
+    double value;
+  };
+  // NaN and infinite pivots at column 0 and, reached through elimination,
+  // at column 3; an infinity below the pivot (the pivoting search moves it
+  // up, the unpivoted one carries it down).
+  for (const Odd odd : {Odd{0, 0, nan}, Odd{0, 0, inf}, Odd{3, 3, nan},
+                        Odd{3, 3, -inf}, Odd{5, 0, inf}}) {
+    Matrix system = random_system(8, rng);
+    system(odd.row, odd.col) = odd.value;
+    for (const bool pivot : {true, false}) {
+      Matrix a = system;
+      std::vector<double> x = random_vector(8, rng);
+      const std::string scalar = numerical_error_text([&] {
+        if (pivot)
+          gauss_solve<8>(a.view(), x);
+        else
+          gauss_solve_nopivot<8>(a.view(), x);
+      });
+      ASSERT_NE(scalar.find("zero pivot at column"), std::string::npos)
+          << scalar;
+      for (const int lane : {0, 3, kLanes - 1}) {
+        SCOPED_TRACE("entry (" + std::to_string(odd.row) + ", " +
+                     std::to_string(odd.col) + ") = " +
+                     std::to_string(odd.value) + " in lane " +
+                     std::to_string(lane) + ", pivot " +
+                     std::to_string(pivot));
+        LaneSystems systems;
+        for (int l = 0; l < kLanes; ++l)
+          systems.add(l == lane ? system : random_system(8, rng),
+                      random_vector(8, rng));
+        // Only a fallback throws: a lockstep pass that missed the odd
+        // lane would return its NaNs quietly.
+        LaneBlock block = pack_lanes(systems);
+        EXPECT_EQ(numerical_error_text(
+                      [&] { gauss_solve_lanes<8>(block, kLanes, pivot); }),
+                  scalar);
+      }
+    }
+  }
+
+  // The boundary cases the scalar kernel does not branch on stay in
+  // lockstep: a row below the pivot of equal magnitude (no swap) and a
+  // subnormal but nonzero multiplier. A negative-zero multiplier is a row
+  // the scalar kernel skips, so it must fall back.
+  Matrix tie = random_system(8, rng);
+  tie(4, 0) = -tie(0, 0);
+  Matrix subnormal = random_system(8, rng);
+  subnormal(6, 0) = 1e-309 * subnormal(0, 0);  // multiplier ~1e-309
+  Matrix negative_zero = random_system(8, rng);
+  negative_zero(2, 0) = -0.0;
+  for (const int lane : {0, 3, kLanes - 1}) {
+    for (const bool pivot : {true, false}) {
+      SCOPED_TRACE("odd lane " + std::to_string(lane) + ", pivot " +
+                   std::to_string(pivot));
+      for (const Matrix* odd : {&tie, &subnormal}) {
+        LaneSystems systems;
+        for (int l = 0; l < kLanes; ++l)
+          systems.add(l == lane ? *odd : random_system(8, rng),
+                      random_vector(8, rng));
+        EXPECT_TRUE(expect_lanes_match_scalar(systems, pivot));
+      }
+      LaneSystems systems;
+      for (int l = 0; l < kLanes; ++l)
+        systems.add(l == lane ? negative_zero : random_system(8, rng),
+                    random_vector(8, rng));
+      EXPECT_FALSE(expect_lanes_match_scalar(systems, pivot));
+    }
+  }
 }
 
 TEST(LaneSolve, SingularLaneThrowsTheScalarText) {

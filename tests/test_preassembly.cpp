@@ -95,9 +95,13 @@ void expect_apply_matches_solve(int order) {
       const Vec3 omega = disc.quadrature().direction(oct, ang);
       for (int e = 0; e < disc.num_elements(); e += 5)
         for (int g = 0; g < solver.problem().xs.ng; ++g) {
-          assembler.assemble_rhs<N, NF>(ctx, state, oct, ang, e, g, omega);
+          assembler.couple<N, NF>(ctx.coupling, e, omega, /*matrix=*/true);
+          assembler.assemble_rhs<N, NF>(ctx, ctx.coupling, state, oct, ang, e,
+                                        g);
           solved.assign(ctx.rhs.begin(), ctx.rhs.end());
-          assembler.assemble_matrix<N, NF>(a.data(), e, g, omega);
+          const double sigt = solver.problem().sigt_eg(e, g);
+          assembler.assemble_matrix<N, NF>(a.data(), ctx.coupling, e,
+                                           {&sigt, 1});
           linalg::gauss_solve<N>(a.view(), solved);
           const double* applied = pre.apply<N>(ctx, oct, ang, e, g);
           double scale = 0.0;
