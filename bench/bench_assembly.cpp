@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
 
   Cli cli("bench_assembly", "kernel cost decomposition per element order");
   cli.option("nx", "4", "elements per dimension");
-  cli.option("ng", "2", "energy groups (lanes sharing one coupling)");
   cli.option("reps", "3", "repetitions over all elements/angles");
   cli.option("max-order", "4", "largest finite element order");
   cli.option("csv", "", "also write results to this CSV file");
@@ -42,7 +41,7 @@ int main(int argc, char** argv) {
     input.dims = {nx, nx, nx};
     input.order = order;
     input.nang = 2;
-    input.ng = cli.get_int("ng");
+    input.ng = 2;
     input.twist = 0.001;
     input.shuffle_seed = 1;
 
@@ -223,7 +222,7 @@ int main(int argc, char** argv) {
       "of the order-1 kernel, rising beyond 70%% for orders >= 3 as the\n"
       "O(N^3) solve outgrows the O(N^2) assembly. The order-1 sweep solves\n"
       "%d systems in lockstep, which cuts its share of the kernel, and\n"
-      "builds each (angle, element)'s coupling once for its %d groups.\n",
-      linalg::kLanes, cli.get_int("ng"));
+      "builds each (angle, element)'s coupling once for its groups.\n",
+      linalg::kLanes);
   return 0;
 }

@@ -18,9 +18,6 @@ Benchmark artifacts (BENCH_*.json: a top-level "bench" description with
 a "runs" array of embedded records) are checked record by record, plus a
 provenance gate: a committed benchmark file must come from a clean
 build, so any "-dirty" git describe anywhere in the file is a failure.
-Embedded records are frozen at the commit that produced them, so rules
-that describe a record field added later (the keff convergence history)
-apply to them only once the file is regenerated.
 """
 
 import json
@@ -72,7 +69,7 @@ def check_fields(obj, spec, path):
     return ok
 
 
-def check_record(record, path, frozen=False):
+def check_record(record, path):
     check_fields(record, {"title": "str", "mode": "str", "deck": "str"}, path)
     mode = record.get("mode")
     expect(mode in ("solve", "schedule", "mms", "time", "keff"), f"{path}.mode",
@@ -272,14 +269,13 @@ def check_record(record, path, frozen=False):
             history = k["k_history"]
             expect(len(history) == k["outers"], f"{path}.keff.k_history",
                    f"{len(history)} entries for {k['outers']} outers")
-            if not frozen:
-                # The iteration block is the power iteration's: one
-                # fission-source change per outer.
-                inner = record.get("iteration", {}).get("inner_history")
-                expect(isinstance(inner, list) and len(inner) == k["outers"],
-                       f"{path}.iteration.inner_history",
-                       f"{len(inner) if isinstance(inner, list) else 'no'} "
-                       f"entries for {k['outers']} outers")
+            # The iteration block is the power iteration's: one
+            # fission-source change per outer.
+            inner = record.get("iteration", {}).get("inner_history")
+            expect(isinstance(inner, list) and len(inner) == k["outers"],
+                   f"{path}.iteration.inner_history",
+                   f"{len(inner) if isinstance(inner, list) else 'no'} "
+                   f"entries for {k['outers']} outers")
             expect(len(history) > 0 and history[-1] == k["k"],
                    f"{path}.keff.k_history",
                    "history does not end at the reported k")
@@ -380,7 +376,7 @@ def check_bench_file(bench, path):
     if expect(isinstance(runs, list) and len(runs) > 0, f"{path}.runs",
               "expected a non-empty array of embedded records"):
         for i, record in enumerate(runs):
-            check_record(record, f"{path}.runs[{i}]", frozen=True)
+            check_record(record, f"{path}.runs[{i}]")
     # bench_sweep records its traced-vs-untraced throughput probe; when
     # the block is there, the numbers must be internally consistent.
     if "obs_overhead" in bench:
