@@ -3,79 +3,54 @@
 // stream down the duct essentially unattenuated while the surrounding
 // absorber kills them within a mean free path — the configuration where
 // discrete ordinates shows its characteristic behaviour (and, with few
-// angles, its ray effects). Prints the flux profile down the duct axis
-// and through the absorber for comparison.
+// angles, its ray effects). Solves decks/duct_streaming.inp, whose first
+// material region is the duct, and prints the flux profile down the duct
+// axis and through the absorber for comparison.
 
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
+#include "api/report.hpp"
 #include "api/run.hpp"
 #include "api/scenario.hpp"
 #include "io/vtk_writer.hpp"
+#include "util/assert.hpp"
 
 namespace {
 
 using namespace unsnap;
 
-// The duct: |y - 0.5|, |z - 0.5| < 0.125 along the full x range.
-api::Box duct_box() {
-  api::Box box;
-  box.lo[1] = box.lo[2] = 0.375;
-  box.hi[1] = box.hi[2] = 0.625;
-  return box;
-}
-
 void declare_options(Cli& cli) {
-  cli.option("n", "16", "elements along the duct (x)");
-  cli.option("nang", "16", "angles per octant");
-  cli.option("order", "1", "finite element order");
   cli.option("vtk", "duct.vtk", "VTK output file ('' to disable)");
 }
 
-int run(const Cli& cli) {
-  const int n = cli.get_int("n");
-  const api::Box duct_region = duct_box();
-  api::Box mouth = duct_region;  // source: the first 12.5% of the duct
-  mouth.hi[0] = 0.25;
-  api::RunConfig config;
-  config.mesh = {.dims = {n, n / 2, n / 2},
-                 .extent = {2.0, 1.0, 1.0},
-                 .twist = 0.0005,
-                 .shuffle_seed = 3,
-                 .order = cli.get_int("order")};
-  config.angular = {.nang = cli.get_int("nang"),
-                    .quadrature = angular::QuadratureKind::Product};
-  // Duct void (material 0) through a nearly pure absorber (material 1).
-  config.materials = {.num_groups = 1,
-                      .sigt = {0.02, 5.0},
-                      .scattering = {0.0, 0.05},
-                      .default_material = 1,
-                      .regions = {{.material = 0, .box = duct_region}}};
-  config.source = {.regions = {{.strength = 1.0, .box = mouth}}};
-  config.iteration = {.epsi = 1e-6,
-                      .iitm = 100,
-                      .oitm = 2,
-                      .fixed_iterations = false};
+int run(const Cli& cli, api::RunConfig config) {
+  require(!config.materials.regions.empty(),
+          "duct_streaming: the deck's first material region must be the "
+          "duct");
+  const api::Box duct_region = config.materials.regions.front().box;
+  const double length = config.mesh.extent[0];
+  const std::string dims = api::grid_label(config.mesh.dims);
+  const int bins = config.mesh.dims[0];
 
   api::Run run(std::move(config));
   const api::RunRecord record = run.execute();
   const core::TransportSolver& solver = *run.solver();
   const core::Discretization& disc = solver.discretization();
-  const snap::Input& input = solver.input();
-  std::printf("Duct streaming: %dx%dx%d elements, %d angles/octant, "
+  std::printf("Duct streaming: %s elements, %d angles/octant, "
               "converged=%s in %d inners\n",
-              input.dims[0], input.dims[1], input.dims[2], input.nang,
+              dims.c_str(), solver.input().nang,
               record.iteration->converged ? "yes" : "no",
               record.iteration->inners);
 
   // Flux profile vs x, on the duct axis and inside the absorber.
-  const int bins = input.dims[0];
   std::vector<double> duct(bins, 0.0), duct_vol(bins, 0.0);
   std::vector<double> wall(bins, 0.0), wall_vol(bins, 0.0);
   for (int e = 0; e < disc.num_elements(); ++e) {
     const auto c = disc.mesh().centroid(e);
-    const int bin = std::min(bins - 1, static_cast<int>(c[0] / 2.0 * bins));
+    const int bin =
+        std::min(bins - 1, static_cast<int>(c[0] / length * bins));
     const bool deep_wall = std::fabs(c[1] - 0.5) > 0.3;
     if (!duct_region.contains(c) && !deep_wall) continue;
     const double* w = disc.integrals().node_weights(e);
@@ -93,7 +68,7 @@ int run(const Cli& cli) {
 
   std::printf("\n   x      phi(duct axis)   phi(absorber)    ratio\n");
   for (int b = 0; b < bins; b += 2) {
-    const double x = (b + 0.5) * 2.0 / bins;
+    const double x = (b + 0.5) * length / bins;
     const double fd = duct[b] / duct_vol[b];
     const double fw = wall[b] / wall_vol[b];
     std::printf("  %.3f   %.6e    %.6e   %8.1fx\n", x, fd, fw, fd / fw);
@@ -117,7 +92,7 @@ const api::ScenarioRegistrar registrar{{
     .name = "duct_streaming",
     .summary = "void duct through an absorber block (streaming/ray effects)",
     .declare_options = declare_options,
-    .run = run,
+    .run_deck = run,
 }};
 
 }  // namespace

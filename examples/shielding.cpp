@@ -1,10 +1,8 @@
 // Shielding scenario: a slab source, a dense shield of varying total cross
 // section, and a detector region behind it — the classic deep-penetration
-// configuration that motivates deterministic transport. Demonstrates the
-// declarative API's custom-material route (per-material sigt/scattering
-// lists plus centroid material/source region lists) and the shared
-// discretisation for parameter sweeps, and writes a VTK file of the
-// attenuated flux.
+// configuration that motivates deterministic transport. Sweeps the
+// shield's sigt (material 2 of decks/shielding.inp) over a shared
+// discretisation and writes a VTK file of the attenuated flux.
 //
 // Geometry (z axis):  [ source | shield | detector ]
 //                     0       1.0      1.8         3.0
@@ -19,53 +17,22 @@
 #include "api/run.hpp"
 #include "api/scenario.hpp"
 #include "io/vtk_writer.hpp"
+#include "util/assert.hpp"
 
 namespace {
 
 using namespace unsnap;
 
-// Every centroid with z below `z`: the deck's `-inf inf -inf inf -inf z`.
-api::Box below_z(double z) {
-  api::Box box;
-  box.hi[2] = z;
-  return box;
-}
-
 void declare_options(Cli& cli) {
-  cli.option("nx", "6", "elements across x and y");
-  cli.option("nz", "18", "elements along the shield axis");
-  cli.option("order", "1", "finite element order");
-  cli.option("nang", "8", "angles per octant");
   cli.option("vtk", "shielding.vtk", "VTK output file ('' to disable)");
 }
 
-int run(const Cli& cli) {
-  api::RunConfig config;
-  config.mesh = {.dims = {cli.get_int("nx"), cli.get_int("nx"),
-                          cli.get_int("nz")},
-                 .extent = {1.0, 1.0, 3.0},
-                 .twist = 0.001,
-                 .shuffle_seed = 7,
-                 .order = cli.get_int("order")};
-  config.angular = {.nang = cli.get_int("nang"),
-                    .quadrature = angular::QuadratureKind::Product};
-  // Three materials: near-void filler (0), source medium (1) and shield
-  // (2); the shield's sigt is the swept parameter. Shields absorb, not
-  // scatter.
-  config.materials = {.num_groups = 2,
-                      .scattering = {0.1, 0.5, 0.2},
-                      .default_material = 0,
-                      .regions = {{.material = 1, .box = below_z(1.0)},
-                                  {.material = 2, .box = below_z(1.8)}}};
-  config.source = {.regions = {{.strength = 1.0, .box = below_z(1.0)}}};
-  config.iteration = {.epsi = 1e-6,
-                      .iitm = 200,
-                      .oitm = 5,
-                      .fixed_iterations = false};
-
-  std::printf("Shielding study: %dx%dx%d elements, order %d\n",
-              cli.get_int("nx"), cli.get_int("nx"), cli.get_int("nz"),
-              cli.get_int("order"));
+int run(const Cli& cli, api::RunConfig config) {
+  require(config.materials.sigt.size() == 3,
+          "shielding: the deck needs three sigt materials (filler, source "
+          "medium, shield)");
+  std::printf("Shielding study: %s elements, order %d\n",
+              api::grid_label(config.mesh.dims).c_str(), config.mesh.order);
   std::printf("\nshield sigt   detector <phi>   attenuation vs no shield\n");
 
   // The mesh/schedules are shared across the sigt sweep: the first run
@@ -73,7 +40,7 @@ int run(const Cli& cli) {
   std::shared_ptr<const core::Discretization> disc;
   double unshielded = -1.0;
   for (const double shield_sigt : {0.05, 1.0, 2.0, 4.0}) {
-    config.materials.sigt = {0.05, 1.0, shield_sigt};
+    config.materials.sigt[2] = shield_sigt;
     api::Run run(config);
     if (disc) run.set_shared_discretization(disc);
     (void)run.execute();
@@ -117,7 +84,7 @@ const api::ScenarioRegistrar registrar{{
     .name = "shielding",
     .summary = "slab source / shield / detector attenuation study",
     .declare_options = declare_options,
-    .run = run,
+    .run_deck = run,
 }};
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Sweep-schedule explorer scenario: builds a twisted unstructured mesh,
-// constructs the bucketed wavefront schedule for a chosen ordinate and
-// writes the bucket index ("tlevel") of every element to VTK — load it in
-// ParaView and the wavefronts are directly visible as bands marching
-// through the mesh. Also prints the bucket-occupancy profile (the paper's
-// available element parallelism) and the schedule-dedup statistics.
+// Sweep-schedule explorer scenario: builds the twisted unstructured mesh
+// of decks/sweep_explorer.inp, constructs the bucketed wavefront schedule
+// for a chosen ordinate and writes the bucket index ("tlevel") of every
+// element to VTK — load it in ParaView and the wavefronts are directly
+// visible as bands marching through the mesh. Also prints the
+// bucket-occupancy profile (the paper's available element parallelism)
+// and the schedule-dedup statistics.
 //
 // This scenario deliberately stays below api::Run: it only needs mesh +
 // quadrature + schedules, so it skips the element-integrals and
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "api/report.hpp"
 #include "api/scenario.hpp"
 #include "io/vtk_writer.hpp"
 #include "mesh/mesh_builder.hpp"
@@ -26,48 +28,47 @@ namespace {
 using namespace unsnap;
 
 void declare_options(Cli& cli) {
-  cli.option("nx", "12", "elements per dimension");
-  cli.option("twist", "0.3", "mesh twist in radians");
-  cli.option("nang", "8", "angles per octant");
   cli.option("octant", "0", "octant of the visualised ordinate");
   cli.option("angle", "0", "angle index of the visualised ordinate");
   cli.option("vtk", "sweep_buckets.vtk", "VTK output ('' to disable)");
-  cli.option("cycles", "abort",
-             "cycle strategy: abort | lag-scc");
 }
 
-int run(const Cli& cli) {
+int run(const Cli& cli, api::RunConfig config) {
+  const int oct = cli.get_int("octant");
+  const int angle = cli.get_int("angle");
+  const api::MeshSpec& spec = config.mesh;
   mesh::MeshOptions options;
-  const int nx = cli.get_int("nx");
-  options.dims = {nx, nx, nx};
-  options.twist = cli.get_double("twist");
-  options.shuffle_seed = 9;
+  options.dims = spec.dims;
+  options.extent = {spec.extent[0], spec.extent[1], spec.extent[2]};
+  options.twist = spec.twist;
+  options.shuffle_seed = spec.shuffle_seed;
   const mesh::HexMesh mesh = mesh::build_brick_mesh(options);
 
-  const angular::QuadratureSet quad(angular::QuadratureKind::SnapLike,
-                                    cli.get_int("nang"));
+  const angular::QuadratureSet quad(config.angular.quadrature,
+                                    config.angular.nang);
+  require(oct >= 0 && oct < angular::kOctants && angle >= 0 &&
+              angle < quad.per_octant(),
+          "sweep_explorer: --octant must be in [0, 8) and --angle in [0, " +
+              std::to_string(quad.per_octant()) + ")");
   // Strong twists can make the dependency graph cyclic; retry with the
   // SCC cycle-breaking schedule so exploration never dead-ends.
-  sweep::CycleStrategy strategy =
-      sweep::cycle_strategy_from_string(cli.get("cycles"));
+  sweep::CycleStrategy strategy = spec.cycle_strategy;
   std::unique_ptr<sweep::ScheduleSet> schedules;
   try {
     schedules = std::make_unique<sweep::ScheduleSet>(mesh, quad, strategy);
   } catch (const NumericalError& err) {
-    std::printf("note: %s\n      retrying with --cycles lag-scc\n",
+    std::printf("note: %s\n      retrying with cycles = lag-scc\n",
                 err.what());
     strategy = sweep::CycleStrategy::LagScc;
     schedules = std::make_unique<sweep::ScheduleSet>(mesh, quad, strategy);
   }
   const sweep::ScheduleSet& set = *schedules;
-  std::printf("mesh %d^3 twisted %.3g rad: %d unique schedules for %d "
+  std::printf("mesh %s twisted %.3g rad: %d unique schedules for %d "
               "directions (cycles: %s)\n",
-              nx, options.twist, set.unique_count(),
-              angular::kOctants * quad.per_octant(),
+              api::grid_label(spec.dims).c_str(), options.twist,
+              set.unique_count(), angular::kOctants * quad.per_octant(),
               sweep::to_string(strategy).c_str());
 
-  const int oct = cli.get_int("octant");
-  const int angle = cli.get_int("angle");
   const sweep::SweepSchedule& schedule = set.get(oct, angle);
   const sweep::ScheduleStats stats = sweep::schedule_stats(schedule);
   const auto dir = quad.direction(oct, angle);
@@ -102,7 +103,7 @@ const api::ScenarioRegistrar registrar{{
     .name = "sweep_explorer",
     .summary = "visualise wavefront buckets of a sweep",
     .declare_options = declare_options,
-    .run = run,
+    .run_deck = run,
 }};
 
 }  // namespace

@@ -9,7 +9,7 @@ namespace unsnap::accel {
 
 namespace {
 
-/// Shared cycle-start convergence logic. When a converged_test is given it
+/// Cycle-start convergence logic. When a converged_test is given it
 /// is the sole authority: the 2-norm target then only paces the cycles,
 /// and is tightened whenever it has been met but the authority still says
 /// no (otherwise the solve would declare victory on the 2-norm while the
@@ -138,34 +138,6 @@ KrylovResult Gmres::solve(const LinearOperator& op, std::span<const double> b,
       y_[i] = h(i, i) == 0.0 ? 0.0 : s / h(i, i);
     }
     for (int j = 0; j < cols; ++j) linalg::axpy(y_[j], {vec(j), n_}, x);
-  }
-  return result;
-}
-
-KrylovResult richardson(const LinearOperator& op, std::span<const double> b,
-                        std::span<double> x, const KrylovOptions& options) {
-  require(b.size() == x.size(),
-          "richardson: b and x lengths do not match");
-  const auto nrm = [&](std::span<const double> v) {
-    return options.norm2 ? options.norm2(v) : linalg::norm2(v);
-  };
-  KrylovResult result;
-  const std::size_t n = b.size();
-  std::vector<double> w(n), r(n);
-  double target = std::max(options.abs_tol, options.rel_tol * nrm(b));
-  while (result.applies < options.max_applies) {
-    op(x, w);
-    ++result.applies;
-    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - w[i];
-    const double beta = nrm(r);
-    result.residual_history.push_back(beta);
-    if (residual_converged(options, x, r, beta, target)) {
-      result.converged = true;
-      break;
-    }
-    if (result.iterations >= options.max_iters) break;
-    linalg::axpy(1.0, r, x);
-    ++result.iterations;
   }
   return result;
 }

@@ -6,12 +6,12 @@
 
 namespace unsnap::accel {
 
-/// Matrix-free iterative solvers over flat double vectors: restarted GMRES
-/// and plain Richardson iteration (the degenerate Krylov method that
-/// source iteration is). The operator is a black box — for the transport
-/// binding in accel/inner.* one application is exactly one sweep — so
-/// every operator the mini-app can express (any CycleStrategy,
-/// ConcurrencyScheme, layout, solver kind) is accelerated for free.
+/// Matrix-free restarted GMRES over flat double vectors. The operator is a
+/// black box — for the transport binding in accel/inner.* one application
+/// is exactly one sweep — so every operator the mini-app can express (any
+/// CycleStrategy, ConcurrencyScheme, layout, solver kind) is accelerated
+/// for free. Source iteration, the Richardson recurrence on the same
+/// operator, lives in core::TransportSolver::run.
 ///
 /// All inner products go through the serial linalg::blas_like kernels,
 /// keeping the iterates bit-reproducible across OpenMP thread counts.
@@ -47,7 +47,7 @@ struct KrylovOptions {
 
 struct KrylovResult {
   bool converged = false;
-  int iterations = 0;  // Krylov iterations (Arnoldi steps / Richardson steps)
+  int iterations = 0;  // Krylov iterations (Arnoldi steps)
   int applies = 0;     // operator applications
   /// ||r||_2 per iteration: entry 0 is the initial residual, then one entry
   /// per Krylov iteration (GMRES entries between cycle starts are the
@@ -90,12 +90,5 @@ class Gmres {
     return static_cast<std::size_t>(restart_);
   }
 };
-
-/// Richardson iteration x += (b - A x): exactly the source-iteration
-/// recurrence when A is the swept transport operator. Shares the options
-/// and result vocabulary with Gmres so the two schemes are comparable
-/// sweep for sweep.
-KrylovResult richardson(const LinearOperator& op, std::span<const double> b,
-                        std::span<double> x, const KrylovOptions& options);
 
 }  // namespace unsnap::accel

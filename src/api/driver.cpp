@@ -31,7 +31,8 @@ void print_usage() {
       "                                     print the (default) deck,\n"
       "                                     normalised, without running\n"
       "  unsnap --list                      list registered scenarios\n"
-      "  unsnap --scenario <name> [opts]    run one scenario\n"
+      "  unsnap --scenario <name> [opts]    run one scenario over its twin\n"
+      "                                     deck, or the one --deck names\n"
       "  unsnap --scenario <name> --help    show a scenario's options\n"
       "  unsnap --version                   build provenance\n"
       "\ndeck format: docs/DECKS.md; scenario catalog: docs/SCENARIOS.md\n");
@@ -42,17 +43,22 @@ void list_scenarios() {
   std::printf("registered scenarios (%zu):\n", scenarios.size());
   for (const Scenario* s : scenarios)
     std::printf("  %-22s %s\n", s->name.c_str(), s->summary.c_str());
-  std::printf("\nrun one with: unsnap --scenario <name> [--help]\n"
-              "or a deck with: unsnap --deck decks/<name>.inp\n");
+  std::printf("\nrun one with: unsnap --scenario <name> [--deck d.inp]\n"
+              "or a deck alone with: unsnap --deck decks/<name>.inp\n");
 }
 
 int run_scenario(const std::string& name,
-                 const std::vector<const char*>& args) {
+                 const std::vector<const char*>& args,
+                 const std::string& deck_dir) {
   const Scenario& scenario = ScenarioRegistry::instance().get(name);
   Cli cli("unsnap --scenario " + name, scenario.summary);
+  if (scenario.run_deck)
+    cli.option("deck", deck_dir + "/" + name + ".inp",
+               "the problem deck the study runs");
   if (scenario.declare_options) scenario.declare_options(cli);
   if (!cli.parse(static_cast<int>(args.size()), args.data())) return 0;
-  return scenario.run(cli);
+  if (!scenario.run_deck) return scenario.run(cli);
+  return scenario.run_deck(cli, read_deck_file(cli.get("deck")));
 }
 
 struct DeckRequest {
@@ -172,7 +178,8 @@ bool take_value(const std::string& arg, const std::string& key, int argc,
 
 }  // namespace
 
-int run_driver(int argc, const char* const* argv) {
+int run_driver(int argc, const char* const* argv,
+               const std::string& deck_dir) {
   try {
     std::string scenario_name;
     DeckRequest deck;
@@ -240,7 +247,7 @@ int run_driver(int argc, const char* const* argv) {
     }
     if (deck_mode) {
       require(scenario_name.empty(),
-              "--deck and --scenario are mutually exclusive");
+              "a scenario takes its options, --deck too, after its name");
       require(deck.dump_only || !deck.deck_path.empty(),
               "--json/--trace/--quiet/--verbose need --deck <file>");
       return run_deck(deck);
@@ -251,7 +258,7 @@ int run_driver(int argc, const char* const* argv) {
       list_scenarios();
       return 0;
     }
-    return run_scenario(scenario_name, forwarded);
+    return run_scenario(scenario_name, forwarded, deck_dir);
   } catch (const InvalidInput& err) {
     std::fprintf(stderr, "unsnap: %s\n", err.what());
     return 2;

@@ -5,6 +5,12 @@
 
 namespace unsnap::api {
 
+std::string grid_label(const std::array<int, 3>& dims) {
+  const std::string x = std::to_string(dims[0]);
+  if (dims[1] == dims[0] && dims[2] == dims[0]) return x + "^3";
+  return x + "x" + std::to_string(dims[1]) + "x" + std::to_string(dims[2]);
+}
+
 double sweeps_per_digit(const core::IterationResult& result) {
   // Measured on the inner change history for both schemes: it is the one
   // quantity with a single normalization across the whole run (the Krylov

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <array>
 #include <cstdio>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/transport_solver.hpp"
@@ -12,10 +14,7 @@ namespace unsnap::api {
 /// particle-balance audit in one format, plus the flux-summary
 /// diagnostics the scenarios share. The configuration, schedule and
 /// decomposition blocks render from RunRecord data (run.hpp). Scenarios
-/// with a legacy output contract (quickstart's byte-for-byte comparison
-/// with the pre-API example) keep their own printf blocks; everything
-/// else should use these so the numbers stay comparable across
-/// scenarios.
+/// use these so the numbers stay comparable across scenarios.
 
 /// Convergence state, iteration counts and wall/sweep timings; under the
 /// gmres scheme also the Krylov iteration count, final relative residual
@@ -39,7 +38,10 @@ void print_iteration_report(const core::IterationResult& result,
 void print_balance_report(const core::BalanceReport& balance,
                           std::FILE* out = stdout);
 
-/// Volume-average scalar flux per group — the quickstart's summary table.
+/// A study header's grid label: "6^3" for a cube, "6x6x18" otherwise.
+[[nodiscard]] std::string grid_label(const std::array<int, 3>& dims);
+
+/// Volume-average scalar flux per group.
 [[nodiscard]] std::vector<double> group_volume_averages(
     const core::Discretization& disc, const core::NodalField& phi);
 

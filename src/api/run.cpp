@@ -694,6 +694,8 @@ std::string to_json(const RunRecord& record) {
 
 // --- renderers ------------------------------------------------------------
 
+namespace {  // blocks only print_run_report renders
+
 void print_configuration(const RunRecord::Configuration& config,
                          std::FILE* out) {
   std::fprintf(out, "config: %dx%dx%d hexes, order %d (%d nodes/elem), "
@@ -727,6 +729,8 @@ void print_schedule_report(const RunRecord::ScheduleStats& stats,
   std::fprintf(out, "  parallelism   %.0f%% modelled efficiency at %d threads\n",
               100.0 * stats.parallel_efficiency, stats.threads);
 }
+
+}  // namespace
 
 void print_decomposition_report(const RunRecord::DecompositionStats& stats,
                                 const core::IterationResult& result,

@@ -168,10 +168,6 @@ struct RunRecord {
 /// All renderers write to an explicit stream (default stdout) so the
 /// driver can route the human report to stderr when the record JSON owns
 /// stdout (`--json -`): piped JSON must stay parseable.
-void print_configuration(const RunRecord::Configuration& config,
-                         std::FILE* out = stdout);
-void print_schedule_report(const RunRecord::ScheduleStats& stats,
-                           std::FILE* out = stdout);
 void print_decomposition_report(const RunRecord::DecompositionStats& stats,
                                 const core::IterationResult& result,
                                 std::FILE* out = stdout);

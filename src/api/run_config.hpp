@@ -128,7 +128,7 @@ struct SourceModel {
 /// The [time] section (RunMode::Time): backward-Euler steps with SNAP's
 /// generated group speeds. `initial` is the uniform isotropic initial
 /// angular flux; `zero_source` drops the deck's external source so the
-/// pulse decays freely (the pulse_decay scenario).
+/// pulse decays freely (decks/pulse_decay.inp).
 struct TimeSpec {
   double dt = 0.1;
   int steps = 8;

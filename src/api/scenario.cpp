@@ -11,8 +11,8 @@ ScenarioRegistry& ScenarioRegistry::instance() {
 
 void ScenarioRegistry::add(Scenario scenario) {
   require(!scenario.name.empty(), "scenario registration: empty name");
-  require(static_cast<bool>(scenario.run),
-          "scenario '" + scenario.name + "': no run function");
+  require(!scenario.run != !scenario.run_deck,
+          "scenario '" + scenario.name + "': needs one run function");
   const auto [it, inserted] =
       scenarios_.emplace(scenario.name, std::move(scenario));
   require(inserted, "scenario '" + it->first + "' registered twice");

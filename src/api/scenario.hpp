@@ -5,19 +5,23 @@
 #include <string>
 #include <vector>
 
+#include "api/run_config.hpp"
 #include "util/cli.hpp"
 
 namespace unsnap::api {
 
-/// A named, self-describing workload: the declarative replacement for a
-/// standalone example binary. Scenarios declare their command-line knobs
-/// on a Cli and run against the parsed values; the unified `unsnap`
-/// driver lists, configures and executes them by name.
+/// A named, self-describing study: the loop, table and VTK output around
+/// a problem its deck defines. A scenario declares its study knobs (never
+/// a deck value) on a Cli; the unified `unsnap` driver lists, configures
+/// and executes it by name.
 struct Scenario {
   std::string name;     // CLI handle: `unsnap --scenario <name>`
   std::string summary;  // one line for --list-scenarios
-  std::function<void(Cli&)> declare_options;
-  std::function<int(const Cli&)> run;
+  std::function<void(Cli&)> declare_options{};
+  // Exactly one of: run, for a scenario without a deck (scale_study), or
+  // run_deck, handed its twin decks/<name>.inp or the file --deck names.
+  std::function<int(const Cli&)> run{};
+  std::function<int(const Cli&, RunConfig deck)> run_deck{};
 };
 
 /// Process-wide registry of scenarios. Scenario translation units
@@ -27,7 +31,8 @@ class ScenarioRegistry {
  public:
   [[nodiscard]] static ScenarioRegistry& instance();
 
-  /// Throws InvalidInput on an unnamed or duplicate scenario.
+  /// Throws InvalidInput on an unnamed or duplicate scenario, or on one
+  /// without exactly one run function.
   void add(Scenario scenario);
 
   [[nodiscard]] bool contains(const std::string& name) const;
@@ -42,7 +47,7 @@ class ScenarioRegistry {
 };
 
 /// File-scope self-registration hook:
-///   static api::ScenarioRegistrar reg{{.name = "quickstart", ...}};
+///   static api::ScenarioRegistrar reg{{.name = "shielding", ...}};
 struct ScenarioRegistrar {
   explicit ScenarioRegistrar(Scenario scenario);
 };

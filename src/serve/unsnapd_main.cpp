@@ -4,6 +4,7 @@
 // lowered problems across identical submissions. Protocol and ops:
 // docs/SERVICE.md; the matching CLI is `unsnap-client`.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -35,14 +36,20 @@ void print_usage() {
       "protocol: docs/SERVICE.md\n");
 }
 
-int parse_int(const std::string& value, const char* flag) {
+/// The whole of `value` as an int of at least `min`, or exit 2: trailing
+/// characters and values outside int are refused, not truncated or
+/// wrapped, and sizes pass min = 0 (a negative one would cast to SIZE_MAX).
+int parse_int(const std::string& value, const char* flag, int min = INT_MIN) {
   try {
-    return std::stoi(value);
+    std::size_t end = 0;
+    const int parsed = std::stoi(value, &end);
+    if (end == value.size() && parsed >= min) return parsed;
   } catch (const std::exception&) {
-    std::fprintf(stderr, "unsnapd: %s expects an integer, got '%s'\n", flag,
-                 value.c_str());
-    std::exit(2);
+    // not a number, or outside int: refused below
   }
+  std::fprintf(stderr, "unsnapd: %s expects an integer%s, got '%s'\n", flag,
+               min == 0 ? " >= 0" : "", value.c_str());
+  std::exit(2);
 }
 
 std::string need_value(int argc, char** argv, int& i) {
@@ -74,10 +81,10 @@ int main(int argc, char** argv) {
           parse_int(need_value(argc, argv, i), "--conn-threads");
     else if (arg == "--cache")
       options.cache_capacity = static_cast<std::size_t>(
-          parse_int(need_value(argc, argv, i), "--cache"));
+          parse_int(need_value(argc, argv, i), "--cache", 0));
     else if (arg == "--history")
       options.history_capacity = static_cast<std::size_t>(
-          parse_int(need_value(argc, argv, i), "--history"));
+          parse_int(need_value(argc, argv, i), "--history", 0));
     else if (arg == "--quiet")
       options.verbose = false;
     else if (arg == "--version") {

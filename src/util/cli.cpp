@@ -65,25 +65,27 @@ std::string Cli::get(const std::string& key) const {
 }
 
 int Cli::get_int(const std::string& key) const {
-  return static_cast<int>(get_long(key));
-}
-
-long Cli::get_long(const std::string& key) const {
   const std::string value = get(key);
   try {
-    return std::stol(value);
+    std::size_t end = 0;
+    const int parsed = std::stoi(value, &end);
+    if (end == value.size()) return parsed;
   } catch (const std::exception&) {
-    throw InvalidInput("option --" + key + ": not an integer: " + value);
+    // not a number, or outside int: refused below
   }
+  throw InvalidInput("option --" + key + ": not an integer: " + value);
 }
 
 double Cli::get_double(const std::string& key) const {
   const std::string value = get(key);
   try {
-    return std::stod(value);
+    std::size_t end = 0;
+    const double parsed = std::stod(value, &end);
+    if (end == value.size()) return parsed;
   } catch (const std::exception&) {
-    throw InvalidInput("option --" + key + ": not a number: " + value);
+    // not a number, or outside double: refused below
   }
+  throw InvalidInput("option --" + key + ": not a number: " + value);
 }
 
 bool Cli::get_flag(const std::string& key) const { return get(key) == "1"; }

@@ -27,7 +27,6 @@ class Cli {
 
   [[nodiscard]] std::string get(const std::string& key) const;
   [[nodiscard]] int get_int(const std::string& key) const;
-  [[nodiscard]] long get_long(const std::string& key) const;
   [[nodiscard]] double get_double(const std::string& key) const;
   [[nodiscard]] bool get_flag(const std::string& key) const;
 

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Run every registered scenario at a smoke size.
+"""Run every registered scenario over a small deck.
 
 usage: scenario_smoke.py <path-to-unsnap>
 
-Walks `unsnap --list` and runs each scenario with its arguments from
-SIZES, in a scratch working directory and on one OpenMP thread (so the
-smoke stays light when ctest runs tests in parallel). Any scenario that
-exits non-zero fails the test, and so does a listed scenario without a
-SIZES entry: a new scenario has to come with a smoke size.
+Walks `unsnap --list` and runs each scenario with `--deck` pointing at
+the deck SMOKE gives it, in a scratch working directory and on one
+OpenMP thread (so the smoke stays light when ctest runs tests in
+parallel). Any scenario that exits non-zero fails the test, and so does
+a listed scenario without a SMOKE entry or without its twin deck
+decks/<name>.inp: a new scenario has to come with both.
 """
 
 import os
@@ -16,23 +17,26 @@ import sys
 import tempfile
 import time
 
-# Tiny meshes and budgets: all twelve finish in a few seconds, and in
-# about a minute and a half under a Debug ASan+UBSan build. VTK output is
-# off ('' disables it) so nothing is written outside the scratch
-# directory.
-SIZES = {
-    "convergence_order": ["--max-order", "2", "--levels", "2"],
-    "criticality": ["--nx", "2"],
-    "diffusive": ["--nx", "2", "--nz", "9", "--c", "0.9", "--iitm", "300"],
-    "domain_decomposition": ["--nx", "4"],
-    "duct_streaming": ["--n", "8", "--nang", "4", "--vtk", ""],
-    "mini": ["--nx", "4"],
-    "pulse_decay": ["--nx", "4", "--steps", "4"],
-    "quickstart": ["--nx", "4", "--nang", "4"],
-    "scale_study": ["--max_ranks", "64", "--verify_nx", "4"],
-    "shielding": ["--nx", "2", "--nz", "12", "--nang", "4", "--vtk", ""],
-    "sweep_explorer": ["--nx", "6", "--vtk", ""],
-    "twisted": ["--nx", "6", "--nz", "3"],
+DECKS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                     "decks")
+
+# Per scenario: the deck its study runs (relative to decks/) and any
+# study flags. The twin decks/<name>.inp where it is fast, its golden
+# twin in decks/golden/ where the full one is slow (diffusive takes about
+# 30 s at defaults). scale_study takes no deck; its own flags size it.
+# VTK output is off ('' disables it). All of them finish in about six
+# seconds, and in about four and a half minutes under a Debug ASan+UBSan
+# build (shielding's four solves about two of them).
+SMOKE = {
+    "convergence_order": ("convergence_order.inp",
+                          ["--max-order", "2", "--levels", "2"]),
+    "criticality": ("criticality.inp", []),
+    "diffusive": ("golden/diffusive_c90.inp", ["--c", "0.9"]),
+    "domain_decomposition": ("golden/domain_decomposition.inp", []),
+    "duct_streaming": ("golden/duct_streaming.inp", ["--vtk", ""]),
+    "scale_study": (None, ["--max_ranks", "64", "--verify_nx", "4"]),
+    "shielding": ("golden/shielding.inp", ["--vtk", ""]),
+    "sweep_explorer": ("sweep_explorer.inp", ["--vtk", ""]),
 }
 
 
@@ -59,16 +63,24 @@ def main():
         sys.exit(__doc__)
     unsnap = os.path.abspath(sys.argv[1])
     names = listed_scenarios(unsnap)
-    missing = [name for name in names if name not in SIZES]
+    missing = [name for name in names if name not in SMOKE]
     if missing:
-        sys.exit("no smoke size for scenario(s): " + ", ".join(missing) +
-                 " (add them to SIZES in " + os.path.basename(__file__) + ")")
+        sys.exit("no smoke entry for scenario(s): " + ", ".join(missing) +
+                 " (add them to SMOKE in " + os.path.basename(__file__) + ")")
+    no_twin = [name for name in names
+               if not os.path.isfile(os.path.join(DECKS, name + ".inp"))]
+    if no_twin:
+        sys.exit("no twin deck decks/<name>.inp for scenario(s): " +
+                 ", ".join(no_twin))
 
     env = dict(os.environ, OMP_NUM_THREADS="1")
     failed = []
     with tempfile.TemporaryDirectory(prefix="unsnap_scenarios_") as scratch:
         for name in names:
-            command = [unsnap, "--scenario", name] + SIZES[name]
+            deck, flags = SMOKE[name]
+            command = [unsnap, "--scenario", name] + flags
+            if deck is not None:
+                command += ["--deck", os.path.join(DECKS, deck)]
             start = time.monotonic()
             result = subprocess.run(command, cwd=scratch, env=env,
                                     capture_output=True, text=True,

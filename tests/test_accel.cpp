@@ -1,5 +1,5 @@
-// The matrix-free Krylov acceleration subsystem (src/accel/): GMRES and
-// Richardson against dense references, Arnoldi basis quality, and the
+// The matrix-free Krylov acceleration subsystem (src/accel/): GMRES
+// against dense references, Arnoldi basis quality, and the
 // transport binding — SI-vs-GMRES flux agreement across boundary
 // conditions, scattering orders, cycle strategies and threading schemes,
 // plus the diffusive-deck acceptance bound (GMRES in a small fraction of
@@ -37,17 +37,6 @@ linalg::Matrix diag_dominant(int n, std::uint64_t seed) {
     }
     a(i, i) += 2.0 * row;
   }
-  return a;
-}
-
-// A contraction-shaped system I - C with ||C|| < 1: the regime where
-// Richardson (= source iteration) converges at all.
-linalg::Matrix near_identity(int n, std::uint64_t seed) {
-  Rng rng(seed);
-  linalg::Matrix a(n, n);
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      a(i, j) = (i == j ? 1.0 : 0.0) + rng.uniform(-0.4, 0.4) / n;
   return a;
 }
 
@@ -205,44 +194,6 @@ TEST(Gmres, RespectsApplyBudget) {
       gmres.solve(matvec_op(a), b, x, options);
   EXPECT_LE(result.applies, 7);
   EXPECT_FALSE(result.converged);  // tol 0, budget-bound
-}
-
-TEST(Richardson, MatchesLuOnContraction) {
-  const int n = 20;
-  const linalg::Matrix a = near_identity(n, 14);
-  const std::vector<double> b = random_rhs(n, 15);
-  const std::vector<double> reference = lu_reference(a, b);
-
-  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-  accel::KrylovOptions options;
-  options.max_iters = 500;
-  options.rel_tol = 1e-12;
-  const accel::KrylovResult result =
-      accel::richardson(matvec_op(a), b, x, options);
-  EXPECT_TRUE(result.converged);
-  for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], reference[i], 1e-8);
-}
-
-TEST(Richardson, GmresNeedsNoMoreIterationsThanRichardson) {
-  const int n = 20;
-  const linalg::Matrix a = near_identity(n, 16);
-  const std::vector<double> b = random_rhs(n, 17);
-  accel::KrylovOptions options;
-  options.max_iters = 500;
-  options.rel_tol = 1e-10;
-
-  std::vector<double> xr(static_cast<std::size_t>(n), 0.0);
-  const accel::KrylovResult rich =
-      accel::richardson(matvec_op(a), b, xr, options);
-
-  accel::Gmres workspace(static_cast<std::size_t>(n), 20);
-  std::vector<double> xg(static_cast<std::size_t>(n), 0.0);
-  const accel::KrylovResult gm =
-      workspace.solve(matvec_op(a), b, xg, options);
-
-  EXPECT_TRUE(rich.converged);
-  EXPECT_TRUE(gm.converged);
-  EXPECT_LE(gm.iterations, rich.iterations);
 }
 
 // ---- the transport binding -----------------------------------------------

@@ -178,21 +178,60 @@ TEST(ScenarioRegistryTest, RejectsDuplicatesAndAnonymousScenarios) {
   Scenario no_run = named("no-run");
   no_run.run = nullptr;
   EXPECT_THROW(registry.add(std::move(no_run)), InvalidInput);
+  Scenario both = named("both");
+  both.run_deck = [](const Cli&, RunConfig) { return 0; };
+  EXPECT_THROW(registry.add(std::move(both)), InvalidInput);
 }
 
 // ---- driver -------------------------------------------------------------
 
 TEST(DriverTest, MalformedScenarioArgumentsExitWithUsageError) {
-  // No scenarios are registered in the test binary, so any name is
-  // unknown; malformed forms must fail the same way (exit code 2).
+  // None of the bundled scenarios is linked into the test binary, so
+  // this name is unknown; malformed forms must fail the same way (exit
+  // code 2).
   const char* unknown[] = {"unsnap", "--scenario", "not-registered"};
-  EXPECT_EQ(run_driver(3, unknown), 2);
+  EXPECT_EQ(run_driver(3, unknown, UNSNAP_DECK_DIR), 2);
   const char* empty_name[] = {"unsnap", "--scenario="};
-  EXPECT_EQ(run_driver(2, empty_name), 2);
+  EXPECT_EQ(run_driver(2, empty_name, UNSNAP_DECK_DIR), 2);
   const char* dangling[] = {"unsnap", "--scenario"};
-  EXPECT_EQ(run_driver(2, dangling), 2);
+  EXPECT_EQ(run_driver(2, dangling, UNSNAP_DECK_DIR), 2);
   const char* stray[] = {"unsnap", "--frobnicate"};
-  EXPECT_EQ(run_driver(2, stray), 2);
+  EXPECT_EQ(run_driver(2, stray, UNSNAP_DECK_DIR), 2);
+}
+
+TEST(DriverTest, ScenarioRunsItsTwinDeckUnlessDeckNamesAnother) {
+  // The driver reads <deck_dir>/<name>.inp, or the file --deck names, and
+  // hands the bound RunConfig to the scenario's run_deck.
+  static std::string seen_title;
+  if (!ScenarioRegistry::instance().contains("deck-title"))
+    ScenarioRegistry::instance().add(
+        {.name = "deck-title",
+         .summary = "records its deck's title",
+         .run_deck = [](const Cli&, RunConfig deck) {
+           seen_title = deck.title;
+           return 0;
+         }});
+  const std::string dir = ::testing::TempDir();
+  const std::string twin = dir + "deck-title.inp";
+  const std::string other = dir + "other-title.inp";
+  std::ofstream(twin) << "[run]\ntitle = twin\n";
+  std::ofstream(other) << "[run]\ntitle = other\n";
+
+  const char* plain[] = {"unsnap", "--scenario", "deck-title"};
+  EXPECT_EQ(run_driver(3, plain, dir), 0);
+  EXPECT_EQ(seen_title, "twin");
+  const char* named_deck[] = {"unsnap", "--scenario", "deck-title",
+                              "--deck", other.c_str()};
+  EXPECT_EQ(run_driver(5, named_deck, dir), 0);
+  EXPECT_EQ(seen_title, "other");
+  // A deck-run flag before the scenario name is a usage error.
+  const char* misplaced[] = {"unsnap", "--deck", other.c_str(),
+                             "--scenario", "deck-title"};
+  EXPECT_EQ(run_driver(5, misplaced, dir), 2);
+  std::remove(twin.c_str());
+  // So is a missing twin.
+  EXPECT_EQ(run_driver(3, plain, dir), 2);
+  std::remove(other.c_str());
 }
 
 TEST(DriverTest, UnconvergedKeffDeckExitsOneUnlessItsBudgetIsFixed) {
@@ -211,7 +250,7 @@ TEST(DriverTest, UnconvergedKeffDeckExitsOneUnlessItsBudgetIsFixed) {
           << iteration << "[execution]\nthreads = 1\n";
     }
     const char* argv[] = {"unsnap", "--deck", path.c_str(), "--quiet"};
-    return run_driver(4, argv);
+    return run_driver(4, argv, UNSNAP_DECK_DIR);
   };
   EXPECT_EQ(run_deck(""), 1);
   EXPECT_EQ(run_deck("fixed_iterations = true\n"), 0);

@@ -340,7 +340,7 @@ TEST(Golden, SweepExplorer) {
   const sweep::ScheduleStats stats = sweep::schedule_stats(set.get(0, 0));
 
   // Second structure: the SCC breaker's lag count on a cyclic mesh must
-  // stay frozen too (it feeds the twisted scenario space).
+  // stay frozen too (it feeds the twisted deck space).
   mesh::MeshOptions cyclic = options;
   cyclic.twist = 2.5;
   const sweep::ScheduleSet broken(mesh::build_brick_mesh(cyclic), quad,
@@ -357,7 +357,7 @@ TEST(Golden, SweepExplorer) {
                {2.400000000000e+01, 1.600000000000e+01, 1.000000000000e+00, 2.700000000000e+01, 6.400000000000e+01, 2.135000000000e+03});
 }
 
-// ---- twisted (the SCC cycle-breaking scenario) ---------------------------
+// ---- twisted (the SCC cycle-breaking deck) -------------------------------
 
 TEST(Golden, Twisted) {
   check_digest("twisted", solve_digest("twisted"),

@@ -318,7 +318,7 @@ TEST(TwistedLagInvariance, SchemesAndThreadsBitwiseEqualUnderLagging) {
     }
   }
 
-  // AngleBatch is the twisted scenario's default scheme, so its lagged
+  // AngleBatch is the twisted deck's scheme, so its lagged
   // reads must be covered too: bitwise thread-invariant against itself,
   // and equal to serial up to the angle-accumulation reorder batching
   // introduces.

@@ -147,11 +147,21 @@ TEST(Cli, FlagsAreBoolean) {
 }
 
 TEST(Cli, RejectsBadNumbers) {
-  Cli cli("prog", "test");
-  cli.option("n", "1", "");
-  const char* argv[] = {"prog", "--n", "abc"};
-  ASSERT_TRUE(cli.parse(3, argv));
-  EXPECT_THROW((void)cli.get_int("n"), InvalidInput);
+  // Non-numbers, trailing characters and values outside int are refused,
+  // not truncated or wrapped.
+  const auto parsed = [](const char* value) {
+    Cli cli("prog", "test");
+    cli.option("n", "1", "");
+    const char* argv[] = {"prog", "--n", value};
+    EXPECT_TRUE(cli.parse(3, argv));
+    return cli;
+  };
+  for (const char* value : {"abc", "", "3x", "4294967299", "-4294967299"})
+    EXPECT_THROW((void)parsed(value).get_int("n"), InvalidInput) << value;
+  for (const char* value : {"x", "", "1.5e", "2x"})
+    EXPECT_THROW((void)parsed(value).get_double("n"), InvalidInput) << value;
+  EXPECT_EQ(parsed("-7").get_int("n"), -7);
+  EXPECT_EQ(parsed("2.5").get_double("n"), 2.5);
 }
 
 TEST(Table, RowWidthEnforced) {
