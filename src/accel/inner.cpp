@@ -3,12 +3,28 @@
 #include <algorithm>
 #include <cmath>
 
+#include "accel/dsa.hpp"
 #include "linalg/blas_like.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
 
 namespace unsnap::accel {
+
+namespace {
+
+/// DSA preconditions a solve that iterates to a tolerance (fixed-budget
+/// runs keep the plain sweep operator, bit for bit) on one domain: a rank
+/// of a distributed solve, whose mesh has remote faces, does not.
+bool uses_diffusion_preconditioner(const core::TransportSolver& solver) {
+  if (solver.input().fixed_iterations) return false;
+  const mesh::HexMesh& mesh = solver.discretization().mesh();
+  for (const auto& [e, f] : mesh.boundary_faces())
+    if (mesh.boundary_kind(e, f) == mesh::BoundaryInfo::kRemote) return false;
+  return true;
+}
+
+}  // namespace
 
 std::size_t flux_vector_size(const core::TransportSolver& solver) {
   std::size_t n = solver.scalar_flux().size();
@@ -91,6 +107,8 @@ core::IterationResult run_gmres(core::TransportSolver& solver,
       std::max(input.iitm - 2, 2);
 
   core::IterationObserver* const observer = solver.observer();
+  const bool precondition = uses_diffusion_preconditioner(solver);
+  result.diffusion_preconditioned = precondition;
 
   for (int outer = 0; outer < input.oitm; ++outer) {
     if (observer != nullptr) observer->on_outer_begin(outer);
@@ -117,8 +135,8 @@ core::IterationResult run_gmres(core::TransportSolver& solver,
       options.norm2 = hooks->norm2;
     }
     // The true residual r = F(x) - x is exactly the next source-iteration
-    // step, so SNAP's pointwise inner test applies verbatim. Record it per
-    // restart cycle; under fixed iterations record but never stop early.
+    // step, so SNAP's pointwise inner test applies verbatim. Record every
+    // check; under fixed iterations record but never stop early.
     options.converged_test = [&](std::span<const double> xk,
                                  std::span<const double> r) {
       const double change =
@@ -142,8 +160,25 @@ core::IterationResult run_gmres(core::TransportSolver& solver,
       for (std::size_t i = 0; i < y.size(); ++i) y[i] = v[i] - y[i] + b[i];
     };
 
+    // DSA right-preconditions a converging solve, built at its first use
+    // (sigma_t is final by then), and its pointwise checks run on the
+    // Arnoldi recurrence instead of costing a restart and a residual sweep.
+    int pcg_before = 0;
+    DiffusionPreconditioner* dsa = nullptr;
+    if (precondition) {
+      dsa = &solver.diffusion_preconditioner();
+      pcg_before = dsa->pcg_iterations();
+      options.recurrence_checks = true;
+      options.preconditioner = [dsa](std::span<const double> v,
+                                     std::span<double> z) {
+        dsa->apply(v, z);
+      };
+    }
+
     const KrylovResult inner = workspace.solve(op, b, x, options);
     result.krylov_iters += inner.iterations;
+    if (dsa != nullptr)
+      result.dsa_pcg_iters += dsa->pcg_iterations() - pcg_before;
     const double bnorm = nrm(b);
     for (const double r : inner.residual_history) {
       result.residual_history.push_back(bnorm > 0.0 ? r / bnorm : r);

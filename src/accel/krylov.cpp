@@ -1,5 +1,6 @@
 #include "accel/krylov.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/blas_like.hpp"
@@ -40,13 +41,49 @@ Gmres::Gmres(std::size_t n, int restart) : n_(n), restart_(restart) {
   sn_.assign(h_cols(), 0.0);
   g_.assign(static_cast<std::size_t>(restart_ + 1), 0.0);
   y_.assign(h_cols(), 0.0);
+  q_.assign(static_cast<std::size_t>(restart_ + 1), 0.0);
   r_.assign(n_, 0.0);
   w_.assign(n_, 0.0);
+  z_.assign(n_, 0.0);
 }
 
 std::span<const double> Gmres::basis_vector(int j) const {
   UNSNAP_ASSERT(j >= 0 && j < last_cycle_size_);
   return {basis_.data() + n_ * static_cast<std::size_t>(j), n_};
+}
+
+void Gmres::form_iterate(int cols, std::span<const double> x,
+                         const KrylovOptions& options,
+                         std::span<double> out) {
+  // Back-substitute R y = g over the first `cols` columns.
+  for (int i = cols - 1; i >= 0; --i) {
+    double s = g_[i];
+    for (int k = i + 1; k < cols; ++k) s -= h(i, k) * y_[k];
+    y_[i] = h(i, i) == 0.0 ? 0.0 : s / h(i, i);
+  }
+  if (!options.preconditioner) {
+    if (out.data() != x.data()) std::copy(x.begin(), x.end(), out.begin());
+    for (int j = 0; j < cols; ++j) linalg::axpy(y_[j], {vec(j), n_}, out);
+    return;
+  }
+  std::fill(w_.begin(), w_.end(), 0.0);
+  for (int j = 0; j < cols; ++j) linalg::axpy(y_[j], {vec(j), n_}, w_);
+  options.preconditioner(w_, z_);
+  for (std::size_t i = 0; i < n_; ++i) out[i] = x[i] + z_[i];
+}
+
+void Gmres::recurrence_residual(int cols, std::span<double> r) {
+  // The least-squares residual is (0, ..., 0, g_cols) in the rotated
+  // basis; undo the Givens rotations, last first, to express it in V.
+  std::fill(q_.begin(), q_.begin() + cols, 0.0);
+  q_[cols] = g_[cols];
+  for (int i = cols - 1; i >= 0; --i) {
+    const double a = q_[i], c = q_[i + 1];
+    q_[i] = cs_[i] * a - sn_[i] * c;
+    q_[i + 1] = sn_[i] * a + cs_[i] * c;
+  }
+  std::fill(r.begin(), r.end(), 0.0);
+  for (int i = 0; i <= cols; ++i) linalg::axpy(q_[i], {vec(i), n_}, r);
 }
 
 KrylovResult Gmres::solve(const LinearOperator& op, std::span<const double> b,
@@ -86,12 +123,19 @@ KrylovResult Gmres::solve(const LinearOperator& op, std::span<const double> b,
     for (int i = 1; i <= restart_; ++i) g_[static_cast<std::size_t>(i)] = 0.0;
     int cols = 0;
     int formed = 1;
+    int iterate_cols = -1;  // z_ holds the iterate of this many columns
     bool happy = false;
     for (int j = 0; j < restart_; ++j) {
       if (result.iterations >= options.max_iters ||
           result.applies >= options.max_applies)
         break;
-      op({vec(j), n_}, w_);
+      if (options.preconditioner) {
+        options.preconditioner({vec(j), n_}, z_);
+        iterate_cols = -1;
+        op(z_, w_);
+      } else {
+        op({vec(j), n_}, w_);
+      }
       ++result.applies;
       ++result.iterations;
       const double wnorm = nrm(w_);
@@ -126,18 +170,24 @@ KrylovResult Gmres::solve(const LinearOperator& op, std::span<const double> b,
       // |g_{j+1}| is the least-squares residual norm of the cycle iterate.
       const double est = std::fabs(g_[j + 1]);
       result.residual_history.push_back(est);
-      if (happy || (target > 0.0 && est <= target)) break;
+      if (happy) break;
+      if (target > 0.0 && est <= target) {
+        if (!options.recurrence_checks || !options.converged_test) break;
+        // Pointwise test on the recurrence residual: no apply, no restart.
+        form_iterate(cols, x, options, z_);
+        iterate_cols = cols;
+        recurrence_residual(cols, r_);
+        if (options.converged_test(z_, r_)) break;
+        target = 0.1 * est;
+      }
     }
     if (cols == 0) break;  // budget exhausted before any Arnoldi step
     last_cycle_size_ = formed;
 
-    // Back-substitute R y = g and fold the correction into x.
-    for (int i = cols - 1; i >= 0; --i) {
-      double s = g_[i];
-      for (int k = i + 1; k < cols; ++k) s -= h(i, k) * y_[k];
-      y_[i] = h(i, i) == 0.0 ? 0.0 : s / h(i, i);
-    }
-    for (int j = 0; j < cols; ++j) linalg::axpy(y_[j], {vec(j), n_}, x);
+    // Fold the cycle's correction into x (already formed in z_ when the
+    // last step ran a recurrence check).
+    if (iterate_cols == cols) std::copy(z_.begin(), z_.end(), x.begin());
+    else form_iterate(cols, x, options, x);
   }
   return result;
 }

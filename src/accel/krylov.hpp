@@ -25,7 +25,9 @@ struct KrylovOptions {
   // sizes the stored basis), not an option here.
   int max_iters = 100;  // total Krylov iterations across cycles
   /// Cap on operator applications (the transport binding's sweep budget).
-  /// GMRES spends one extra apply per cycle on the true residual.
+  /// GMRES spends one extra apply per cycle on the true residual; with
+  /// recurrence_checks a failed pointwise test no longer ends the cycle,
+  /// so only a passing one pays that apply.
   int max_applies = 1 << 30;
   double abs_tol = 0.0;  // stop when ||r||_2 <= abs_tol ...
   double rel_tol = 0.0;  // ... or ||r||_2 <= rel_tol * ||b||_2
@@ -35,6 +37,18 @@ struct KrylovOptions {
   /// which the 2-norm tests cannot express.
   std::function<bool(std::span<const double> x, std::span<const double> r)>
       converged_test;
+  /// Also evaluate converged_test inside a cycle, once the Givens estimate
+  /// meets the 2-norm target: on the cycle iterate x_k and its recurrence
+  /// residual V_{k+1} Q_k^T (g_{k+1} e_{k+1}), which equals b - A x_k in
+  /// exact arithmetic and costs no apply. A failure tightens the target
+  /// tenfold and continues the same cycle; a pass ends it, and the next
+  /// cycle-start true residual confirms it.
+  bool recurrence_checks = false;
+  /// Optional right preconditioner z = P^-1 v (v and z never alias).
+  /// Arnoldi then runs on A P^-1 and each cycle adds P^-1 V y to x, so x,
+  /// the residuals and converged_test stay those of A x = b. P^-1 must be
+  /// one fixed linear map: the basis is not flexible.
+  LinearOperator preconditioner;
   /// Replacement inner product / norm (default: the serial linalg
   /// kernels). A distributed caller supplies globally-reduced versions so
   /// each rank can run the same recurrence over its slice of a partitioned
@@ -58,7 +72,8 @@ struct KrylovResult {
   }
 };
 
-/// Restarted GMRES with modified Gram-Schmidt and Givens least squares.
+/// Restarted GMRES with modified Gram-Schmidt and Givens least squares,
+/// optionally right-preconditioned (KrylovOptions::preconditioner).
 /// A class so the (restart+1) x n basis workspace survives across solves
 /// (the transport driver solves once per outer) and so the tests can
 /// inspect the Arnoldi basis orthonormality after a solve.
@@ -82,9 +97,17 @@ class Gmres {
   std::vector<double> basis_;            // (restart+1) x n, row-major
   std::vector<double> h_;                // (restart+1) x restart Hessenberg
   std::vector<double> cs_, sn_, g_, y_;  // Givens rotations + projected rhs
-  std::vector<double> r_, w_;            // residual / candidate vectors
+  std::vector<double> q_;                // Q^T (g_{k+1} e_{k+1})
+  std::vector<double> r_, w_, z_;  // residual / candidate / P^-1 vectors
 
   [[nodiscard]] double* vec(int j) { return basis_.data() + n_ * j; }
+  /// out = x + P^-1 V y over the first `cols` Arnoldi vectors (out may be
+  /// x): the iterate of the current cycle.
+  void form_iterate(int cols, std::span<const double> x,
+                    const KrylovOptions& options, std::span<double> out);
+  /// r = V_{cols+1} Q^T (g_cols e_cols): the residual of that iterate as
+  /// the Arnoldi recurrence carries it.
+  void recurrence_residual(int cols, std::span<double> r);
   [[nodiscard]] double& h(int i, int j) { return h_[h_cols() * i + j]; }
   [[nodiscard]] std::size_t h_cols() const {
     return static_cast<std::size_t>(restart_);

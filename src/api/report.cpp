@@ -39,6 +39,10 @@ void print_iteration_report(const core::IterationResult& result,
                     : result.residual_history.back());
     if (spd > 0.0) std::fprintf(out, ", %.1f sweeps/digit", spd);
     std::fprintf(out, "\n");
+    if (result.diffusion_preconditioned)
+      std::fprintf(out, "dsa: diffusion-preconditioned inners, %d CG "
+                  "iterations\n",
+                  result.dsa_pcg_iters);
   } else if (spd > 0.0) {
     std::fprintf(out, "source iteration: %d sweeps, %.1f sweeps/digit\n",
                 result.sweeps, spd);

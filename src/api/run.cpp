@@ -381,6 +381,9 @@ RunRecord Run::execute_time(RunRecord record) {
       folded.outers += step.iteration.outers;
       folded.inners += step.iteration.inners;
       folded.sweeps += step.iteration.sweeps;
+      folded.diffusion_preconditioned =
+          step.iteration.diffusion_preconditioned;
+      folded.dsa_pcg_iters += step.iteration.dsa_pcg_iters;
       folded.final_inner_change = step.iteration.final_inner_change;
       folded.final_outer_change = step.iteration.final_outer_change;
       folded.total_seconds += step.iteration.total_seconds;
@@ -427,6 +430,8 @@ RunRecord Run::execute_keff(RunRecord record) {
   folded.inners = result.inners;
   folded.sweeps = result.sweeps;
   folded.krylov_iters = result.krylov_iters;
+  folded.diffusion_preconditioned = result.diffusion_preconditioned;
+  folded.dsa_pcg_iters = result.dsa_pcg_iters;
   folded.final_inner_change = result.final_fission_change;
   folded.final_outer_change = result.final_k_change;
   // The power iteration's convergence history: one fission-source change
@@ -519,6 +524,9 @@ std::string to_json(const RunRecord& record) {
     json.kv("inners", it.inners);
     json.kv("sweeps", it.sweeps);
     json.kv("krylov_iters", it.krylov_iters);
+    json.kv("preconditioner",
+            it.diffusion_preconditioned ? "diffusion" : "none");
+    json.kv("dsa_pcg_iters", it.dsa_pcg_iters);
     json.kv("final_inner_change", it.final_inner_change);
     json.kv("final_outer_change", it.final_outer_change);
     json.kv("sweeps_per_digit", sweeps_per_digit(it));

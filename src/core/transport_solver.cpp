@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include "accel/dsa.hpp"
 #include "accel/inner.hpp"
 #include "mesh/mesh_builder.hpp"
 #include "obs/metrics.hpp"
@@ -119,6 +120,8 @@ TransportSolver::TransportSolver(std::shared_ptr<const Discretization> disc,
     qin_mom_.assign(static_cast<std::size_t>(extra), proto);
   }
 }
+
+TransportSolver::~TransportSolver() = default;
 
 SweepState TransportSolver::make_state() {
   SweepState state;
@@ -345,6 +348,11 @@ AngularFlux& TransportSolver::angular_source() {
                                           disc_->num_nodes());
   }
   return *qang_;
+}
+
+accel::DiffusionPreconditioner& TransportSolver::diffusion_preconditioner() {
+  if (!dsa_) dsa_ = std::make_unique<accel::DiffusionPreconditioner>(*this);
+  return *dsa_;
 }
 
 void TransportSolver::enable_preassembly() {

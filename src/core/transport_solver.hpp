@@ -10,6 +10,10 @@
 #include "core/source.hpp"
 #include "core/sweeper.hpp"
 
+namespace unsnap::accel {
+class DiffusionPreconditioner;
+}
+
 namespace unsnap::core {
 
 /// Outcome of a TransportSolver::run().
@@ -19,13 +23,17 @@ struct IterationResult {
   int inners = 0;                    // total inner iterations (all outers)
   int sweeps = 0;    // total transport sweeps (== inners under SI)
   int krylov_iters = 0;  // Arnoldi steps (gmres scheme only)
+  /// gmres only: whether the inners were diffusion-preconditioned
+  /// (accel/dsa.hpp), and the CG iterations of their diffusion solves.
+  bool diffusion_preconditioned = false;
+  int dsa_pcg_iters = 0;
   double final_inner_change = 0.0;   // last inner dfmxi
   double final_outer_change = 0.0;   // last outer dfmxo
   double total_seconds = 0.0;
   double assemble_solve_seconds = 0.0;  // wall time inside the sweeps
   double solve_seconds = 0.0;  // per-thread solve time (if timed; Sweeper)
   /// Max flux change per inner (SI: one entry per sweep; gmres: one entry
-  /// per restart cycle); globally reduced when the loop runs distributed.
+  /// per pointwise check); globally reduced when the loop runs distributed.
   std::vector<double> inner_history;
   /// gmres only: relative 2-norm residual per Krylov iteration (entry 0 is
   /// the initial residual of the first outer's inner solve).
@@ -70,6 +78,7 @@ class TransportSolver {
   /// options — see the shielding and duct examples).
   TransportSolver(std::shared_ptr<const Discretization> disc,
                   const snap::Input& input, ProblemData problem);
+  ~TransportSolver();  // out of line: dsa_ holds an incomplete type here
 
   /// Full solve: oitm outers of up to iitm inners; with
   /// input.fixed_iterations the loop ignores the convergence tests and
@@ -164,6 +173,12 @@ class TransportSolver {
   /// Allocated on first access (nmom > 1 only; empty otherwise).
   std::vector<NodalField>& coupling_source_moments();
 
+  /// Diffusion preconditioner of the GMRES inners (accel/dsa.hpp), built
+  /// at the first call from the cross sections as they stand then (the
+  /// time integrator folds 1/(v dt) into sigt_eg after construction) and
+  /// reused by every later inner solve, keff's outers included.
+  accel::DiffusionPreconditioner& diffusion_preconditioner();
+
   /// Switch the sweep kernel to pre-assembled operators (paper §IV-B-1).
   void enable_preassembly();
   /// Adopt an operator built by another solver over the same
@@ -216,6 +231,7 @@ class TransportSolver {
   LagSnapshot lag_;
   std::unique_ptr<AngularFlux> qang_;
   std::shared_ptr<const PreassembledOperator> pre_;
+  std::unique_ptr<accel::DiffusionPreconditioner> dsa_;
   IterationObserver* observer_ = nullptr;
   double tolerance_;
   double assemble_solve_seconds_ = 0.0;

@@ -329,6 +329,8 @@ KeffResult KeffSolver::run() {
       result.inners += r.inners;
       result.sweeps += r.sweeps;
       result.krylov_iters += r.krylov_iters;
+      result.diffusion_preconditioned = r.diffusion_preconditioned;
+      result.dsa_pcg_iters += r.dsa_pcg_iters;
       result.groupset_sweeps[static_cast<std::size_t>(s)] += r.sweeps;
       gather_flux(s);
     }

@@ -40,6 +40,8 @@ struct KeffResult {
   int inners = 0;                     // summed over groupset solves
   int sweeps = 0;
   int krylov_iters = 0;               // gmres scheme only
+  bool diffusion_preconditioned = false;  // gmres inners under DSA
+  int dsa_pcg_iters = 0;
   std::vector<long long> groupset_sweeps;  // [set] cumulative sweeps
   double total_seconds = 0.0;
   /// Summed over the groupset solvers, which sweep one after another:

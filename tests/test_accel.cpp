@@ -1,9 +1,10 @@
 // The matrix-free Krylov acceleration subsystem (src/accel/): GMRES
-// against dense references, Arnoldi basis quality, and the
-// transport binding — SI-vs-GMRES flux agreement across boundary
-// conditions, scattering orders, cycle strategies and threading schemes,
-// plus the diffusive-deck acceptance bound (GMRES in a small fraction of
-// SI's sweeps as c -> 1).
+// against dense references, Arnoldi basis quality, right preconditioning
+// and the in-cycle recurrence checks, and the transport binding —
+// SI-vs-GMRES flux agreement across boundary conditions, scattering
+// orders, cycle strategies and threading schemes, the diffusion-
+// preconditioned sweeps per digit across c, plus the diffusive-deck
+// acceptance bound (GMRES in a small fraction of SI's sweeps as c -> 1).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,9 @@
 
 #include "accel/inner.hpp"
 #include "accel/krylov.hpp"
+#include "api/report.hpp"
 #include "api/run.hpp"
+#include "linalg/blas_like.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "util/rng.hpp"
@@ -194,6 +197,79 @@ TEST(Gmres, RespectsApplyBudget) {
       gmres.solve(matvec_op(a), b, x, options);
   EXPECT_LE(result.applies, 7);
   EXPECT_FALSE(result.converged);  // tol 0, budget-bound
+}
+
+// With P^-1 = A^-1 the preconditioned operator A P^-1 is the identity:
+// one Arnoldi step spans the solution, and the confirming residual at the
+// next cycle start closes the solve.
+TEST(Gmres, ExactRightPreconditionerConvergesInOneStep) {
+  const int n = 12;
+  const linalg::Matrix a = diag_dominant(n, 21);
+  const std::vector<double> b = random_rhs(n, 22);
+  const std::vector<double> reference = lu_reference(a, b);
+
+  linalg::Matrix lu = a;
+  std::vector<int> pivots(static_cast<std::size_t>(n));
+  linalg::lu_factor(lu.view(), pivots);
+  accel::KrylovOptions options;
+  options.rel_tol = 1e-12;
+  options.preconditioner = [&](std::span<const double> v,
+                               std::span<double> z) {
+    std::copy(v.begin(), v.end(), z.begin());
+    linalg::lu_solve_factored(lu.view(), pivots, z);
+  };
+  accel::Gmres gmres(static_cast<std::size_t>(n), n);
+  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
+  const accel::KrylovResult result =
+      gmres.solve(matvec_op(a), b, x, options);
+
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.iterations, 1);
+  EXPECT_EQ(result.applies, 3);  // residual, one Arnoldi step, confirmation
+  for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], reference[i], 1e-10);
+}
+
+// Every pointwise check sees an iterate and the residual the Arnoldi
+// recurrence carries for it, which must be b - A x. A failed in-cycle
+// check continues the cycle: the solve pays no restart per failure, only
+// the initial residual and the confirming one.
+TEST(Gmres, RecurrenceResidualMatchesTrueResidual) {
+  const int n = 30;
+  const linalg::Matrix a = diag_dominant(n, 23);
+  const std::vector<double> b = random_rhs(n, 24);
+  const double bnorm = linalg::norm2(b);
+
+  accel::KrylovOptions options;
+  options.max_iters = 2 * n;
+  options.rel_tol = 1e-3;
+  options.recurrence_checks = true;
+  options.preconditioner = [&](std::span<const double> v,
+                               std::span<double> z) {
+    for (int i = 0; i < n; ++i) z[i] = v[i] / a(i, i);  // Jacobi
+  };
+  int checks = 0;
+  double worst = 0.0;
+  options.converged_test = [&](std::span<const double> xk,
+                               std::span<const double> r) {
+    ++checks;
+    std::vector<double> ax(static_cast<std::size_t>(n));
+    linalg::matvec(a.view(), xk, ax);
+    double rnorm = 0.0;
+    for (int i = 0; i < n; ++i) {
+      worst = std::max(worst, std::fabs(b[i] - ax[i] - r[i]));
+      rnorm += r[i] * r[i];
+    }
+    return std::sqrt(rnorm) <= 1e-11 * bnorm;
+  };
+  accel::Gmres gmres(static_cast<std::size_t>(n), n);
+  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
+  const accel::KrylovResult result =
+      gmres.solve(matvec_op(a), b, x, options);
+
+  EXPECT_TRUE(result.converged);
+  EXPECT_GE(checks, 4);  // the 2-norm target met and failed in-cycle
+  EXPECT_LE(worst, 1e-12 * bnorm);
+  EXPECT_EQ(result.applies, result.iterations + 2);
 }
 
 // ---- the transport binding -----------------------------------------------
@@ -416,6 +492,67 @@ TEST(TransportGmres, FixedIterationRunsAreDeterministic) {
   ASSERT_EQ(runs[0].size(), runs[1].size());
   for (std::size_t i = 0; i < runs[0].size(); ++i)
     ASSERT_EQ(runs[0][i], runs[1][i]);
+}
+
+// ---- diffusion preconditioning --------------------------------------------
+
+// The diffusive deck across the scattering ladder, on a mesh small enough
+// for the tier-1 suite: DSA-preconditioned inners hold at most 4 sweeps
+// per digit as c -> 1, where the plain sweep-preconditioned GMRES took
+// 7-10 and its count grew with c.
+TEST(TransportGmres, DiffusiveLadderSweepsPerDigit) {
+  api::RunConfig config =
+      api::read_deck_file(std::string(UNSNAP_DECK_DIR) + "/diffusive.inp");
+  config.mesh.dims = {3, 3, 9};
+  config.execution.num_threads = 1;
+  for (const double c : {0.9, 0.99, 0.999, 0.9999}) {
+    SCOPED_TRACE(::testing::Message() << "c = " << c);
+    config.materials.scattering[1] = config.materials.scattering[2] = c;
+    const api::RunRecord record = api::Run(config).execute();
+    const core::IterationResult& it = *record.iteration;
+    ASSERT_TRUE(it.converged);
+    EXPECT_TRUE(it.diffusion_preconditioned);
+    EXPECT_GT(it.dsa_pcg_iters, 0);
+    const double spd = api::sweeps_per_digit(it);
+    EXPECT_GT(spd, 0.0);
+    EXPECT_LE(spd, 4.0) << it.sweeps << " sweeps";
+  }
+}
+
+// A rank of a distributed solve keeps the plain sweep operator: its mesh
+// has remote faces, and a per-rank diffusion solve would miss the halo
+// coupling. The same deck on one domain is preconditioned.
+TEST(TransportGmres, PartitionedRanksAreNotPreconditioned) {
+  api::RunConfig config;
+  config.mesh.dims = {4, 4, 4};
+  config.materials.num_groups = 1;
+  config.angular.nang = 2;
+  config.iteration = {.epsi = 1e-6,
+                      .iitm = 200,
+                      .oitm = 10,
+                      .fixed_iterations = false,
+                      .scheme = snap::IterationScheme::Gmres};
+  config.execution.scheme = snap::ConcurrencyScheme::Serial;
+  config.execution.num_threads = 1;
+
+  const api::RunRecord single = api::Run(config).execute();
+  ASSERT_TRUE(single.iteration->converged);
+  EXPECT_TRUE(single.iteration->diffusion_preconditioned);
+  EXPECT_GT(single.iteration->dsa_pcg_iters, 0);
+
+  config.decomposition = {.px = 2, .py = 2,
+                          .exchange = snap::SweepExchange::Pipelined};
+  const api::RunRecord ranks = api::Run(config).execute();
+  ASSERT_TRUE(ranks.iteration->converged);
+  EXPECT_FALSE(ranks.iteration->diffusion_preconditioned);
+  EXPECT_EQ(ranks.iteration->dsa_pcg_iters, 0);
+  EXPECT_NE(api::to_json(ranks).find("\"preconditioner\": \"none\""),
+            std::string::npos);
+  // Both answers hold the deck's tolerance.
+  for (std::size_t g = 0; g < single.flux->group_averages.size(); ++g)
+    EXPECT_NEAR(ranks.flux->group_averages[g],
+                single.flux->group_averages[g],
+                1e-5 * single.flux->group_averages[g]);
 }
 
 // ---- the diffusive acceptance bound --------------------------------------

@@ -142,6 +142,20 @@ def check_record(record, path):
                        f"{it['sweeps']} sweeps but no sweep time")
             expect(it["krylov_iters"] == 0 or len(it["residual_history"]) > 0,
                    f"{path}.iteration", "krylov iterations without a residual history")
+        # The DSA fields arrived after the committed BENCH_*.json records,
+        # so they are checked when present.
+        if "preconditioner" in it:
+            expect(it["preconditioner"] in ("diffusion", "none"),
+                   f"{path}.iteration.preconditioner",
+                   f"unknown preconditioner {it['preconditioner']!r}")
+        if "dsa_pcg_iters" in it:
+            pcg = it["dsa_pcg_iters"]
+            if expect(isinstance(pcg, int) and not isinstance(pcg, bool) and pcg >= 0,
+                      f"{path}.iteration.dsa_pcg_iters",
+                      "expected a non-negative integer"):
+                expect(pcg == 0 or it.get("preconditioner") == "diffusion",
+                       f"{path}.iteration.dsa_pcg_iters",
+                       "diffusion solves without the diffusion preconditioner")
 
     if "balance" in record:
         b = record["balance"]
