@@ -11,21 +11,6 @@
 
 namespace unsnap::accel {
 
-namespace {
-
-/// DSA preconditions a solve that iterates to a tolerance (fixed-budget
-/// runs keep the plain sweep operator, bit for bit) on one domain: a rank
-/// of a distributed solve, whose mesh has remote faces, does not.
-bool uses_diffusion_preconditioner(const core::TransportSolver& solver) {
-  if (solver.input().fixed_iterations) return false;
-  const mesh::HexMesh& mesh = solver.discretization().mesh();
-  for (const auto& [e, f] : mesh.boundary_faces())
-    if (mesh.boundary_kind(e, f) == mesh::BoundaryInfo::kRemote) return false;
-  return true;
-}
-
-}  // namespace
-
 std::size_t flux_vector_size(const core::TransportSolver& solver) {
   std::size_t n = solver.scalar_flux().size();
   for (const core::NodalField& mom : solver.flux_moments()) n += mom.size();
@@ -107,7 +92,10 @@ core::IterationResult run_gmres(core::TransportSolver& solver,
       std::max(input.iitm - 2, 2);
 
   core::IterationObserver* const observer = solver.observer();
-  const bool precondition = uses_diffusion_preconditioner(solver);
+  // DSA preconditions a solve that iterates to a tolerance (fixed-budget
+  // runs keep the plain sweep operator, bit for bit) on one domain: a rank
+  // of a distributed solve, which runs with hooks, does not.
+  const bool precondition = !input.fixed_iterations && hooks == nullptr;
   result.diffusion_preconditioned = precondition;
 
   for (int outer = 0; outer < input.oitm; ++outer) {
@@ -168,7 +156,6 @@ core::IterationResult run_gmres(core::TransportSolver& solver,
     if (precondition) {
       dsa = &solver.diffusion_preconditioner();
       pcg_before = dsa->pcg_iterations();
-      options.recurrence_checks = true;
       options.preconditioner = [dsa](std::span<const double> v,
                                      std::span<double> z) {
         dsa->apply(v, z);

@@ -42,10 +42,10 @@ void scatter_flux(core::TransportSolver& solver, std::span<const double> in);
 /// the lagged couplings. A converged solve skips the closing sweep: its
 /// last apply was the cycle-start residual at the returned x, which left
 /// the solver holding that same sweep. A solve that iterates to a
-/// tolerance on one domain (no remote faces) is right-preconditioned by
-/// the solver's DiffusionPreconditioner (accel/dsa.hpp) and runs its
-/// pointwise checks on the Arnoldi recurrence (KrylovOptions::
-/// recurrence_checks); fixed-budget runs and distributed ranks keep the
+/// tolerance on one domain (no hooks) is right-preconditioned by
+/// the solver's DiffusionPreconditioner (accel/dsa.hpp), which also moves
+/// its pointwise checks onto the Arnoldi recurrence (KrylovOptions::
+/// preconditioner); fixed-budget runs and distributed ranks keep the
 /// plain sweep operator. `hooks` (optional) distributes the
 /// loop: its frozen sweep is then an exact slice of the global operator
 /// apply, and its reductions keep the per-rank Krylov recurrences in

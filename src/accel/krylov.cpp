@@ -172,7 +172,7 @@ KrylovResult Gmres::solve(const LinearOperator& op, std::span<const double> b,
       result.residual_history.push_back(est);
       if (happy) break;
       if (target > 0.0 && est <= target) {
-        if (!options.recurrence_checks || !options.converged_test) break;
+        if (!options.preconditioner || !options.converged_test) break;
         // Pointwise test on the recurrence residual: no apply, no restart.
         form_iterate(cols, x, options, z_);
         iterate_cols = cols;

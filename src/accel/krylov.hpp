@@ -25,9 +25,9 @@ struct KrylovOptions {
   // sizes the stored basis), not an option here.
   int max_iters = 100;  // total Krylov iterations across cycles
   /// Cap on operator applications (the transport binding's sweep budget).
-  /// GMRES spends one extra apply per cycle on the true residual; with
-  /// recurrence_checks a failed pointwise test no longer ends the cycle,
-  /// so only a passing one pays that apply.
+  /// GMRES spends one extra apply per cycle on the true residual; when
+  /// preconditioned, a failed pointwise test no longer ends the cycle, so
+  /// only a passing one pays that apply.
   int max_applies = 1 << 30;
   double abs_tol = 0.0;  // stop when ||r||_2 <= abs_tol ...
   double rel_tol = 0.0;  // ... or ||r||_2 <= rel_tol * ||b||_2
@@ -37,17 +37,16 @@ struct KrylovOptions {
   /// which the 2-norm tests cannot express.
   std::function<bool(std::span<const double> x, std::span<const double> r)>
       converged_test;
-  /// Also evaluate converged_test inside a cycle, once the Givens estimate
-  /// meets the 2-norm target: on the cycle iterate x_k and its recurrence
-  /// residual V_{k+1} Q_k^T (g_{k+1} e_{k+1}), which equals b - A x_k in
-  /// exact arithmetic and costs no apply. A failure tightens the target
-  /// tenfold and continues the same cycle; a pass ends it, and the next
-  /// cycle-start true residual confirms it.
-  bool recurrence_checks = false;
   /// Optional right preconditioner z = P^-1 v (v and z never alias).
   /// Arnoldi then runs on A P^-1 and each cycle adds P^-1 V y to x, so x,
   /// the residuals and converged_test stay those of A x = b. P^-1 must be
-  /// one fixed linear map: the basis is not flexible.
+  /// one fixed linear map: the basis is not flexible. A preconditioned
+  /// solve also evaluates converged_test inside a cycle, once the Givens
+  /// estimate meets the 2-norm target: on the cycle iterate x_k and its
+  /// recurrence residual V_{k+1} Q_k^T (g_{k+1} e_{k+1}), which equals
+  /// b - A x_k in exact arithmetic and costs no apply. A failure tightens
+  /// the target tenfold and continues the same cycle; a pass ends it, and
+  /// the next cycle-start true residual confirms it.
   LinearOperator preconditioner;
   /// Replacement inner product / norm (default: the serial linalg
   /// kernels). A distributed caller supplies globally-reduced versions so

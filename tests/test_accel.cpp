@@ -242,7 +242,6 @@ TEST(Gmres, RecurrenceResidualMatchesTrueResidual) {
   accel::KrylovOptions options;
   options.max_iters = 2 * n;
   options.rel_tol = 1e-3;
-  options.recurrence_checks = true;
   options.preconditioner = [&](std::span<const double> v,
                                std::span<double> z) {
     for (int i = 0; i < n; ++i) z[i] = v[i] / a(i, i);  // Jacobi
