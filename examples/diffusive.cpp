@@ -1,13 +1,17 @@
 // Diffusive scenario family: the shielding deck re-materialised so the
 // shield *scatters* instead of absorbs (decks/diffusive.inp), with the
 // scattering ratio c of the source medium and shield pushed toward 1
-// (c = 0.9 / 0.99 / 0.999). Source iteration's error contracts by roughly
-// c per sweep on optically thick regions, so these problems need
+// (c = 0.9 / 0.99 / 0.999). Plain source iteration's error contracts by
+// roughly c per sweep on optically thick regions, so these problems need
 // hundreds of sweeps — or never converge inside default budgets — while
 // the sweep-preconditioned GMRES inners (src/accel/) solve them in O(10)
-// sweeps. The scenario runs both schemes on each c and prints the
-// sweeps-to-convergence / wall-time / flux-agreement comparison; a deck
-// with `verbose = true` also prints the GMRES runs' per-inner histories.
+// sweeps. On a converging single-domain deck both schemes run diffusion
+// synthetic acceleration (accel/dsa.hpp): GMRES as its preconditioner,
+// source iteration as a correction after every sweep, which takes it to
+// O(10) sweeps as well. The scenario runs both schemes on each c and
+// prints the sweeps-to-convergence / wall-time / flux-agreement
+// comparison; a deck with `verbose = true` also prints the GMRES runs'
+// per-inner histories.
 //
 // Geometry (z axis):  [ source | shield | detector ]
 //                     0       1.0      1.8         3.0

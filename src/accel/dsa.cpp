@@ -13,7 +13,11 @@ namespace unsnap::accel {
 
 namespace {
 
-constexpr double kPcgTolerance = 1e-10;  // relative residual of C_g u = f
+// Relative residual of C_g u = f: tight where the correction must be a
+// fixed linear map (the GMRES preconditioner), loose after a
+// source-iteration sweep, whose correction need not be.
+constexpr double kPcgTolerance = 1e-10;
+constexpr double kCorrectionTolerance = 1e-4;
 constexpr int kCorners = 8;
 
 // Two-point Gauss abscissa; both weights are 1.
@@ -185,7 +189,7 @@ int DiffusionPreconditioner::position(int i, int j) const {
   return static_cast<int>(it - col_.begin());
 }
 
-void DiffusionPreconditioner::solve(int g) {
+void DiffusionPreconditioner::solve(int g, double tolerance) {
   const auto nv = static_cast<std::size_t>(nv_);
   const double* values = val_.data() + static_cast<std::size_t>(g) *
                                            col_.size();
@@ -202,7 +206,7 @@ void DiffusionPreconditioner::solve(int g) {
   };
 
   std::fill(u_.begin(), u_.end(), 0.0);
-  const double target = kPcgTolerance * linalg::norm2(rhs_);
+  const double target = tolerance * linalg::norm2(rhs_);
   if (target == 0.0) return;
   r_ = rhs_;
   for (std::size_t v = 0; v < nv; ++v) z_[v] = inv_diag[v] * r_[v];
@@ -230,6 +234,22 @@ void DiffusionPreconditioner::apply(std::span<const double> x,
   OBS_SPAN("accel.dsa_apply");
   UNSNAP_ASSERT(x.size() == y.size());
   std::copy(x.begin(), x.end(), y.begin());
+  add_correction(x.data(), y.data(), kPcgTolerance);
+}
+
+void DiffusionPreconditioner::correct(core::NodalField& phi,
+                                      const core::NodalField& phi_old) {
+  OBS_SPAN("accel.dsa_apply");
+  UNSNAP_ASSERT(phi.size() == phi_old.size());
+  delta_.resize(phi.size());
+  const double* now = phi.data();
+  const double* old = phi_old.data();
+  for (std::size_t i = 0; i < delta_.size(); ++i) delta_[i] = now[i] - old[i];
+  add_correction(delta_.data(), phi.data(), kCorrectionTolerance);
+}
+
+void DiffusionPreconditioner::add_correction(const double* x, double* y,
+                                             double tolerance) {
   const core::Discretization& disc = solver_.discretization();
   const mesh::HexMesh& mesh = disc.mesh();
   const core::ElementIntegrals& ints = disc.integrals();
@@ -244,7 +264,7 @@ void DiffusionPreconditioner::apply(std::span<const double> x,
     for (int e = 0; e < ne; ++e) {
       const double sigs = sigs_[static_cast<std::size_t>(e) * ng_ + g];
       if (sigs == 0.0) continue;
-      const double* xe = x.data() + layout.offset(e, g);
+      const double* xe = x + layout.offset(e, g);
       const double* m = ints.mass(e);
       for (int i = 0; i < n; ++i) {
         double s = 0.0;
@@ -258,12 +278,12 @@ void DiffusionPreconditioner::apply(std::span<const double> x,
         rhs_[mesh.corner(e, c)] += s;
       }
     }
-    solve(g);
+    solve(g, tolerance);
     // y_g += P u.
     for (int e = 0; e < ne; ++e) {
       double corner[kCorners];
       for (int c = 0; c < kCorners; ++c) corner[c] = u_[mesh.corner(e, c)];
-      double* ye = y.data() + layout.offset(e, g);
+      double* ye = y + layout.offset(e, g);
       for (int i = 0; i < n; ++i) {
         double s = 0.0;
         for (int c = 0; c < kCorners; ++c)
@@ -272,6 +292,17 @@ void DiffusionPreconditioner::apply(std::span<const double> x,
       }
     }
   }
+}
+
+bool preconditions_gmres(const snap::Input& input,
+                         const core::IterationHooks* hooks) {
+  return !input.fixed_iterations && hooks == nullptr;
+}
+
+bool accelerates_source_iteration(const snap::Input& input,
+                                  const core::IterationHooks* hooks) {
+  return input.iteration_scheme == snap::IterationScheme::SourceIteration &&
+         preconditions_gmres(input, hooks) && !input.any_reflective();
 }
 
 }  // namespace unsnap::accel

@@ -92,10 +92,7 @@ core::IterationResult run_gmres(core::TransportSolver& solver,
       std::max(input.iitm - 2, 2);
 
   core::IterationObserver* const observer = solver.observer();
-  // DSA preconditions a solve that iterates to a tolerance (fixed-budget
-  // runs keep the plain sweep operator, bit for bit) on one domain: a rank
-  // of a distributed solve, which runs with hooks, does not.
-  const bool precondition = !input.fixed_iterations && hooks == nullptr;
+  const bool precondition = preconditions_gmres(input, hooks);
   result.diffusion_preconditioned = precondition;
 
   for (int outer = 0; outer < input.oitm; ++outer) {

@@ -39,14 +39,13 @@ void print_iteration_report(const core::IterationResult& result,
                     : result.residual_history.back());
     if (spd > 0.0) std::fprintf(out, ", %.1f sweeps/digit", spd);
     std::fprintf(out, "\n");
-    if (result.diffusion_preconditioned)
-      std::fprintf(out, "dsa: diffusion-preconditioned inners, %d CG "
-                  "iterations\n",
-                  result.dsa_pcg_iters);
   } else if (spd > 0.0) {
     std::fprintf(out, "source iteration: %d sweeps, %.1f sweeps/digit\n",
                 result.sweeps, spd);
   }
+  if (result.diffusion_preconditioned)
+    std::fprintf(out, "dsa: diffusion-accelerated inners, %d CG iterations\n",
+                result.dsa_pcg_iters);
   std::fprintf(out, "total %.4f s, %.4f s in assemble/solve sweeps",
               result.total_seconds, result.assemble_solve_seconds);
   if (time_solve && result.assemble_solve_seconds > 0.0)

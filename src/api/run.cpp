@@ -381,9 +381,19 @@ RunRecord Run::execute_time(RunRecord record) {
       folded.outers += step.iteration.outers;
       folded.inners += step.iteration.inners;
       folded.sweeps += step.iteration.sweeps;
+      folded.krylov_iters += step.iteration.krylov_iters;
       folded.diffusion_preconditioned =
           step.iteration.diffusion_preconditioned;
       folded.dsa_pcg_iters += step.iteration.dsa_pcg_iters;
+      // The steps' histories end to end: sweeps_per_digit then counts the
+      // run's sweeps per digit from the first step's first change to the
+      // last step's last.
+      folded.inner_history.insert(folded.inner_history.end(),
+                                  step.iteration.inner_history.begin(),
+                                  step.iteration.inner_history.end());
+      folded.residual_history.insert(folded.residual_history.end(),
+                                     step.iteration.residual_history.begin(),
+                                     step.iteration.residual_history.end());
       folded.final_inner_change = step.iteration.final_inner_change;
       folded.final_outer_change = step.iteration.final_outer_change;
       folded.total_seconds += step.iteration.total_seconds;

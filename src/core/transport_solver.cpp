@@ -290,6 +290,12 @@ IterationResult TransportSolver::run(const IterationHooks* hooks) {
   IterationResult result;
   Stopwatch total;
   total.start();
+  // DSA corrects every sweep of a converging single-domain solve. The
+  // operator is built at the first correction, after the first observer
+  // event, and reused by every later run (keff outers, time steps).
+  const bool accelerate = accel::accelerates_source_iteration(input_, hooks);
+  const int pcg_before = dsa_ ? dsa_->pcg_iterations() : 0;
+  result.diffusion_preconditioned = accelerate;
 
   NodalField phi_outer = phi_;
   for (int outer = 0; outer < input_.oitm; ++outer) {
@@ -299,6 +305,7 @@ IterationResult TransportSolver::run(const IterationHooks* hooks) {
     for (int inner = 0; inner < input_.iitm; ++inner) {
       update_inner_source();
       sweep_once();
+      if (accelerate) diffusion_preconditioner().correct(phi_, phi_old_);
       ++result.inners;
       ++result.sweeps;
       result.final_inner_change = global_max(inner_change());
@@ -322,6 +329,7 @@ IterationResult TransportSolver::run(const IterationHooks* hooks) {
     if (result.converged && !input_.fixed_iterations) break;
   }
 
+  if (dsa_) result.dsa_pcg_iters = dsa_->pcg_iterations() - pcg_before;
   result.total_seconds = total.stop();
   result.assemble_solve_seconds = assemble_solve_seconds_;
   result.solve_seconds = solve_seconds_;

@@ -23,8 +23,10 @@ struct IterationResult {
   int inners = 0;                    // total inner iterations (all outers)
   int sweeps = 0;    // total transport sweeps (== inners under SI)
   int krylov_iters = 0;  // Arnoldi steps (gmres scheme only)
-  /// gmres only: whether the inners were diffusion-preconditioned
-  /// (accel/dsa.hpp), and the CG iterations of their diffusion solves.
+  /// Whether the inners were diffusion-accelerated (accel/dsa.hpp: the
+  /// gmres right preconditioner, or the correction after every
+  /// source-iteration sweep), and the CG iterations of their diffusion
+  /// solves.
   bool diffusion_preconditioned = false;
   int dsa_pcg_iters = 0;
   double final_inner_change = 0.0;   // last inner dfmxi
@@ -82,7 +84,10 @@ class TransportSolver {
 
   /// Full solve: oitm outers of up to iitm inners; with
   /// input.fixed_iterations the loop ignores the convergence tests and
-  /// always runs oitm x iitm sweeps (the paper's timing setup). With
+  /// always runs oitm x iitm sweeps (the paper's timing setup). A source
+  /// iteration that converges on one domain without reflective sides
+  /// follows every sweep with the DSA correction
+  /// (accel::accelerates_source_iteration). With
   /// input.iteration_scheme == Gmres the within-group solve is delegated
   /// to the sweep-preconditioned Krylov driver (accel::run_gmres), with
   /// the same outer loop and convergence vocabulary. `hooks` (optional)
@@ -173,10 +178,11 @@ class TransportSolver {
   /// Allocated on first access (nmom > 1 only; empty otherwise).
   std::vector<NodalField>& coupling_source_moments();
 
-  /// Diffusion preconditioner of the GMRES inners (accel/dsa.hpp), built
-  /// at the first call from the cross sections as they stand then (the
-  /// time integrator folds 1/(v dt) into sigt_eg after construction) and
-  /// reused by every later inner solve, keff's outers included.
+  /// Diffusion operator of the GMRES preconditioner and the
+  /// source-iteration correction (accel/dsa.hpp), built at the first call
+  /// from the cross sections as they stand then (the time integrator folds
+  /// 1/(v dt) into sigt_eg after construction) and reused by every later
+  /// inner solve, keff's outers included.
   accel::DiffusionPreconditioner& diffusion_preconditioner();
 
   /// Switch the sweep kernel to pre-assembled operators (paper §IV-B-1).

@@ -40,7 +40,9 @@ struct KeffResult {
   int inners = 0;                     // summed over groupset solves
   int sweeps = 0;
   int krylov_iters = 0;               // gmres scheme only
-  bool diffusion_preconditioned = false;  // gmres inners under DSA
+  /// Whether the groupset inners ran under DSA (gmres preconditioner or
+  /// source-iteration correction), and the CG iterations of its solves.
+  bool diffusion_preconditioned = false;
   int dsa_pcg_iters = 0;
   std::vector<long long> groupset_sweeps;  // [set] cumulative sweeps
   double total_seconds = 0.0;
@@ -68,8 +70,10 @@ struct KeffResult {
 /// |dk| <= k_tol and delta <= fission_tol, where delta is the max relative
 /// fission-source change of the outer. With false iitm x oitm is a cap:
 /// outer k's groupset solves stop at the tolerance
-///   max(0.1 epsi, 0.1 delta_{k-1})   (delta_{-1} = 1),
-/// so early outers sweep a few times and late ones converge tightly. The
+///   max(0.1 epsi, f delta_{k-1})   (delta_{-1} = 1),
+/// with f = 1 for a groupset whose source iteration is DSA-corrected
+/// (accel::accelerates_source_iteration) and f = 0.1 otherwise, so early
+/// outers sweep a few times and late ones converge tightly. The
 /// power iteration then stops on a bound of its error rather than its
 /// step: |dk| <= k_tol and delta_k max(1, sigma/(1 - sigma)) <=
 /// fission_tol, with sigma = delta_k / delta_{k-1} the dominance-ratio

@@ -3,8 +3,10 @@
 // and the in-cycle recurrence checks, and the transport binding —
 // SI-vs-GMRES flux agreement across boundary conditions, scattering
 // orders, cycle strategies and threading schemes, the diffusion-
-// preconditioned sweeps per digit across c, plus the diffusive-deck
-// acceptance bound (GMRES in a small fraction of SI's sweeps as c -> 1).
+// preconditioned sweeps per digit across c, the DSA-corrected source
+// iteration and where it stays off, plus the diffusive-deck acceptance
+// bounds (GMRES and DSA-corrected SI in a small fraction of plain SI's
+// sweeps as c -> 1).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "linalg/blas_like.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
+#include "plain_source_iteration.hpp"
 #include "util/rng.hpp"
 
 namespace unsnap {
@@ -554,43 +557,205 @@ TEST(TransportGmres, PartitionedRanksAreNotPreconditioned) {
                 1e-5 * single.flux->group_averages[g]);
 }
 
+// ---- diffusion-corrected source iteration --------------------------------
+
+core::NodalField run_flux(snap::Input input, core::IterationResult* result) {
+  core::TransportSolver solver(input);
+  *result = solver.run();
+  return solver.scalar_flux();
+}
+
+core::NodalField plain_flux(snap::Input input, core::IterationResult* result) {
+  core::TransportSolver solver(input);
+  *result = test::plain_source_iteration(solver);
+  return solver.scalar_flux();
+}
+
+std::vector<double> values(const core::NodalField& phi) {
+  return {phi.data(), phi.data() + phi.size()};
+}
+
+void expect_bitwise(const core::NodalField& a, const core::NodalField& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(std::memcmp(a.data() + i, b.data() + i, sizeof(double)), 0)
+        << "flux entry " << i;
+}
+
+// On the tier-1 diffusive mesh at c = 0.99 the DSA correction converges
+// source iteration to the answer of the preconditioned GMRES inners. Plain
+// source iteration stops about c / (1 - c) tolerances short of it.
+TEST(SourceIterationDsa, ConvergesDiffusiveDeckToTheGmresAnswer) {
+  api::RunConfig config =
+      api::read_deck_file(std::string(UNSNAP_DECK_DIR) + "/diffusive.inp");
+  config.mesh.dims = {3, 3, 9};
+  config.execution.num_threads = 1;
+  const api::RunRecord gmres = api::Run(config).execute();
+  ASSERT_TRUE(gmres.iteration->converged);
+
+  config.iteration.scheme = snap::IterationScheme::SourceIteration;
+  api::Run run(config);
+  const api::RunRecord si = run.execute();
+  ASSERT_TRUE(si.iteration->converged);
+  EXPECT_TRUE(si.iteration->diffusion_preconditioned);
+  EXPECT_GT(si.iteration->dsa_pcg_iters, 0);
+  EXPECT_EQ(si.iteration->krylov_iters, 0);
+  EXPECT_NE(api::to_json(si).find("\"preconditioner\": \"diffusion\""),
+            std::string::npos);
+  for (std::size_t g = 0; g < si.flux->group_averages.size(); ++g)
+    EXPECT_NEAR(si.flux->group_averages[g], gmres.flux->group_averages[g],
+                1e-6 * gmres.flux->group_averages[g])
+        << "group " << g;
+}
+
+// The correction leaves the lagged reflective inflow alone, so an
+// all-reflective deck keeps plain source iteration, bit for bit.
+TEST(SourceIterationDsa, ReflectiveDeckRunsPlainSourceIteration) {
+  api::RunConfig config;
+  config.mesh.dims = {4, 4, 4};
+  config.angular.nang = 2;
+  config.materials.num_groups = 2;
+  config.boundary.sides.fill(snap::Input::Bc::Reflective);
+  config.iteration = {.epsi = 1e-6, .iitm = 200, .oitm = 40,
+                      .fixed_iterations = false};
+  config.execution.num_threads = 1;
+  api::Run run(config);
+  const api::RunRecord record = run.execute();
+  const core::IterationResult& it = *record.iteration;
+  ASSERT_TRUE(it.converged);
+  EXPECT_FALSE(it.diffusion_preconditioned);
+  EXPECT_EQ(it.dsa_pcg_iters, 0);
+  EXPECT_NE(api::to_json(record).find("\"preconditioner\": \"none\""),
+            std::string::npos);
+
+  core::IterationResult plain;
+  const core::NodalField phi_plain = plain_flux(config.to_input(), &plain);
+  EXPECT_EQ(it.outers, plain.outers);
+  EXPECT_EQ(it.sweeps, plain.sweeps);
+  EXPECT_EQ(it.inner_history, plain.inner_history);
+  EXPECT_EQ(it.final_outer_change, plain.final_outer_change);
+  expect_bitwise(run.solver()->scalar_flux(), phi_plain);
+}
+
+// The correction's reductions are serial, so threaded sweeps keep the
+// corrected iterates bitwise across thread counts.
+TEST(SourceIterationDsa, BitwiseAcrossThreadCounts) {
+  snap::Input input = base_deck();
+  input.scattering_ratio = 0.9;
+  converge(input, snap::IterationScheme::SourceIteration);
+  input.scheme = snap::ConcurrencyScheme::ElementsGroups;
+  core::NodalField reference;
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    input.num_threads = threads;
+    core::IterationResult result;
+    const core::NodalField phi = run_flux(input, &result);
+    ASSERT_TRUE(result.converged);
+    EXPECT_TRUE(result.diffusion_preconditioned);
+    if (threads == 1) reference = phi;
+    else expect_bitwise(phi, reference);
+  }
+}
+
+// A rank of a distributed solve runs plain source iteration: its record
+// carries no diffusion solves, and the pipelined exchange repeats the
+// single-domain plain iteration sweep for sweep.
+TEST(SourceIterationDsa, DistributedRanksRunPlainSourceIteration) {
+  api::RunConfig config;
+  config.mesh.dims = {4, 4, 4};
+  config.materials.num_groups = 1;
+  config.angular.nang = 2;
+  config.iteration = {.epsi = 1e-6, .iitm = 200, .oitm = 10,
+                      .fixed_iterations = false};
+  config.execution.scheme = snap::ConcurrencyScheme::Serial;
+  config.execution.num_threads = 1;
+  core::IterationResult plain;
+  const core::NodalField phi_plain = plain_flux(config.to_input(), &plain);
+  ASSERT_TRUE(plain.converged);
+
+  config.decomposition = {.px = 2, .py = 2,
+                          .exchange = snap::SweepExchange::Pipelined};
+  const api::RunRecord ranks = api::Run(config).execute();
+  ASSERT_TRUE(ranks.iteration->converged);
+  EXPECT_FALSE(ranks.iteration->diffusion_preconditioned);
+  EXPECT_EQ(ranks.iteration->dsa_pcg_iters, 0);
+  EXPECT_NE(api::to_json(ranks).find("\"preconditioner\": \"none\""),
+            std::string::npos);
+  EXPECT_EQ(ranks.iteration->outers, plain.outers);
+  EXPECT_EQ(ranks.iteration->sweeps, plain.sweeps);
+  ASSERT_EQ(ranks.iteration->inner_history.size(),
+            plain.inner_history.size());
+  for (std::size_t i = 0; i < plain.inner_history.size(); ++i)
+    EXPECT_NEAR(ranks.iteration->inner_history[i], plain.inner_history[i],
+                1e-12 * plain.inner_history[i])
+        << "inner " << i;
+}
+
+// Under anisotropic scattering only the scalar flux is corrected, as in
+// the GMRES preconditioner; the iteration still reaches the plain answer.
+TEST(SourceIterationDsa, AnisotropicScatteringReachesThePlainAnswer) {
+  snap::Input input = base_deck();
+  input.nmom = 2;
+  input.scattering_ratio = 0.9;
+  converge(input, snap::IterationScheme::SourceIteration, 1e-8);
+  core::IterationResult run, plain;
+  const core::NodalField phi_run = run_flux(input, &run);
+  const core::NodalField phi_plain = plain_flux(input, &plain);
+  ASSERT_TRUE(run.converged);
+  ASSERT_TRUE(plain.converged);
+  EXPECT_TRUE(run.diffusion_preconditioned);
+  EXPECT_LT(run.sweeps, plain.sweeps);
+  EXPECT_LT(max_rel_diff(values(phi_plain), values(phi_run)), 1e-6);
+}
+
 // ---- the diffusive acceptance bound --------------------------------------
 
 TEST(TransportGmres, DiffusiveDeckAcceptance) {
   // The diffusive scenario's deck (decks/diffusive.inp, c = 0.99: a
-  // 16 mfp scattering shield) on a coarser 4 x 4 x 12 mesh.
+  // 16 mfp scattering shield) on a coarser 4 x 4 x 12 mesh, solved by
+  // plain source iteration (driven through the single-iteration API), by
+  // source iteration with the DSA correction and by GMRES.
   api::RunConfig config =
       api::read_deck_file(std::string(UNSNAP_DECK_DIR) + "/diffusive.inp");
   config.mesh.dims = {4, 4, 12};
-
-  core::IterationResult results[2];
-  std::vector<double> fluxes[2];
-  for (const snap::IterationScheme scheme :
-       {snap::IterationScheme::SourceIteration,
-        snap::IterationScheme::Gmres}) {
+  const auto configure = [&](snap::IterationScheme scheme) {
     config.iteration = {.epsi = 1e-6,
                         .iitm = 600,
                         .oitm = 5,
                         .fixed_iterations = false,
                         .scheme = scheme,
                         .gmres_restart = 40};
-    api::Run run(config);
-    const std::size_t which =
-        scheme == snap::IterationScheme::Gmres ? 1 : 0;
-    results[which] = *run.execute().iteration;
-    const core::NodalField& phi = run.solver()->scalar_flux();
-    fluxes[which].assign(phi.data(), phi.data() + phi.size());
-  }
-  const core::IterationResult& si = results[0];
-  const core::IterationResult& gm = results[1];
+  };
+
+  configure(snap::IterationScheme::SourceIteration);
+  const snap::Input input = config.to_input();
+  const auto disc = std::make_shared<const core::Discretization>(input);
+  core::TransportSolver plain_solver(disc, input, config.problem_data(*disc));
+  const core::IterationResult plain =
+      test::plain_source_iteration(plain_solver);
+  const std::vector<double> plain_phi = values(plain_solver.scalar_flux());
+
+  api::Run dsa_run(config);
+  const core::IterationResult dsa = *dsa_run.execute().iteration;
+
+  configure(snap::IterationScheme::Gmres);
+  api::Run gmres_run(config);
+  const core::IterationResult gm = *gmres_run.execute().iteration;
+  const std::vector<double> gmres_phi =
+      values(gmres_run.solver()->scalar_flux());
 
   ASSERT_TRUE(gm.converged);
-  // The acceptance bound: GMRES in <= 15% of SI's sweeps — or SI failed
-  // to converge inside its budget at all.
-  if (si.converged) {
-    EXPECT_LE(gm.sweeps, static_cast<int>(0.15 * si.sweeps))
-        << "si " << si.sweeps << " sweeps vs gmres " << gm.sweeps;
-    EXPECT_LT(max_rel_diff(fluxes[0], fluxes[1]), 1e-3);
+  ASSERT_TRUE(dsa.converged);
+  EXPECT_TRUE(dsa.diffusion_preconditioned);
+  // The acceptance bounds: GMRES in <= 15% and DSA-corrected source
+  // iteration in <= 20% of plain SI's sweeps — or plain SI failed to
+  // converge inside its budget at all.
+  if (plain.converged) {
+    EXPECT_LE(gm.sweeps, static_cast<int>(0.15 * plain.sweeps))
+        << "plain si " << plain.sweeps << " sweeps vs gmres " << gm.sweeps;
+    EXPECT_LE(dsa.sweeps, static_cast<int>(0.20 * plain.sweeps))
+        << "plain si " << plain.sweeps << " sweeps vs dsa si " << dsa.sweeps;
+    EXPECT_LT(max_rel_diff(plain_phi, gmres_phi), 1e-3);
   }
   // Regardless, GMRES must be squarely in the O(10)-sweeps regime.
   EXPECT_LE(gm.sweeps, 60);

@@ -6,6 +6,7 @@
 #include "comm/distributed.hpp"
 #include "comm/rank_dag.hpp"
 #include "core/transport_solver.hpp"
+#include "plain_source_iteration.hpp"
 #include "util/assert.hpp"
 
 namespace unsnap::comm {
@@ -30,11 +31,16 @@ snap::Input pipe_input() {
 }
 
 // Canonical global (element, group, node) flux from a single-domain solve.
+// Source iteration runs plain, as the ranks do: run() would add the DSA
+// correction of a converging single-domain solve.
 std::vector<double> single_domain_phi(snap::Input input,
                                       core::IterationResult* result_out) {
   input.sweep_exchange = snap::SweepExchange::BlockJacobi;  // irrelevant
   core::TransportSolver solver(input);
-  const core::IterationResult result = solver.run();
+  const core::IterationResult result =
+      input.iteration_scheme == snap::IterationScheme::SourceIteration
+          ? test::plain_source_iteration(solver)
+          : solver.run();
   if (result_out != nullptr) *result_out = result;
   const auto& disc = solver.discretization();
   std::vector<double> out;

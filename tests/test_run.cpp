@@ -287,6 +287,50 @@ TEST(Run, TimeRouteMatchesDirectBitwise) {
   }
 }
 
+// A time record folds every step's Krylov accounting and histories, end to
+// end, the way a keff record folds its outers.
+TEST(Run, TimeRecordFoldsEveryStepsKrylovAccounting) {
+  const std::string deck =
+      "[run]\nmode = time\n"
+      "[mesh]\ndims = 3 3 3\ntwist = 0.001\nshuffle_seed = 21\n"
+      "[angular]\nnang = 2\n"
+      "[materials]\nng = 2\nmat_opt = 0\nscattering_ratio = 0.9\n"
+      "[source]\nsrc_opt = 0\n"
+      "[iteration]\nepsi = 1e-6\niitm = 40\noitm = 5\n"
+      "fixed_iterations = false\nscheme = gmres\n"
+      "[execution]\nthreads = 1\n"
+      "[time]\ndt = 0.1\nsteps = 3\ninitial = 1\n";
+  const api::RunConfig config = api::read_deck_text(deck);
+  const api::RunRecord record = api::Run(config).execute();
+
+  const snap::Input input = config.to_input();
+  const auto disc = std::make_shared<const core::Discretization>(input);
+  core::TimeDependentSolver td(
+      disc, input, core::TimeDependentSolver::snap_velocities(input.ng),
+      0.1);
+  td.solver().problem().qext.fill(0.0);  // the deck's zero_source default
+  td.set_initial_condition(1.0);
+  int sweeps = 0, krylov = 0;
+  std::vector<double> inner_history, residual_history;
+  for (int n = 0; n < 3; ++n) {
+    const core::IterationResult it = td.step().iteration;
+    sweeps += it.sweeps;
+    krylov += it.krylov_iters;
+    inner_history.insert(inner_history.end(), it.inner_history.begin(),
+                         it.inner_history.end());
+    residual_history.insert(residual_history.end(),
+                            it.residual_history.begin(),
+                            it.residual_history.end());
+  }
+  const core::IterationResult& folded = *record.iteration;
+  EXPECT_EQ(folded.sweeps, sweeps);
+  EXPECT_GT(krylov, 0);
+  EXPECT_EQ(folded.krylov_iters, krylov);
+  EXPECT_EQ(folded.inner_history, inner_history);
+  EXPECT_EQ(folded.residual_history, residual_history);
+  EXPECT_GT(api::sweeps_per_digit(folded), 0.0);
+}
+
 // --- the single-domain lowering step ---------------------------------------
 
 TEST(Run, SharedDiscretizationReusedAsIs) {
