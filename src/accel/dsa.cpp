@@ -72,9 +72,10 @@ DiffusionPreconditioner::DiffusionPreconditioner(
   val_.assign(ng * nnz, 0.0);
 
   sigs_.assign(static_cast<std::size_t>(ne) * ng, 0.0);
-  for (int e = 0; e < ne; ++e)
-    for (int g = 0; g < ng_; ++g)
-      sigs_[e * ng + g] = problem.xs.slgg(problem.material[e], g, g);
+  for (int e = 0; e < ne; ++e) {
+    const auto& sigs = problem.xs.materials[problem.material[e]].sigs;
+    for (int g = 0; g < ng_; ++g) sigs_[e * ng + g] = sigs(0, g, g);
+  }
 
   // Volume terms, scattered straight into every group's values.
   for (int e = 0; e < ne; ++e) {

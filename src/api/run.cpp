@@ -348,14 +348,10 @@ RunRecord Run::execute_schedule(RunRecord record) {
 
 RunRecord Run::execute_time(RunRecord record) {
   Lowered lowered = lower();
-  // Library decks carry their own group speeds; generated data pairs with
-  // SNAP's.
-  std::vector<double> velocities =
-      config_.xs.active()
-          ? xs::read_library_file(config_.xs.file).velocity
-          : core::TimeDependentSolver::snap_velocities(lowered.input.ng);
+  // The lowered library's group speeds: SNAP's on the generated route, the
+  // file's own on the [xs] route.
   time_solver_ = std::make_unique<core::TimeDependentSolver>(
-      shared_disc_, lowered.input, *lowered.data, std::move(velocities),
+      shared_disc_, lowered.input, *lowered.data, lowered.data->xs.velocity,
       config_.time.dt);
   core::TransportSolver& inner = time_solver_->solver();
   // Valid after construction only: the TimeDependentSolver ctor has

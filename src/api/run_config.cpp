@@ -41,25 +41,22 @@ RunMode run_mode_from_string(const std::string& name) {
                      "' (expected solve, schedule, mms, time or keff)");
 }
 
-snap::CrossSections MaterialModel::cross_sections() const {
+libxs::Library MaterialModel::library() const {
   UNSNAP_ASSERT(custom());
-  snap::CrossSections xs;
-  xs.num_materials = static_cast<int>(sigt.size());
-  xs.ng = num_groups;
-  const auto nm = sigt.size();
+  libxs::Library lib;
+  lib.ng = num_groups;
   const auto g_count = static_cast<std::size_t>(num_groups);
-  xs.sigt.resize({nm, g_count});
-  xs.sigs.resize({nm, g_count});
-  xs.siga.resize({nm, g_count});
-  xs.slgg.resize({nm, g_count, g_count}, 0.0);
-  for (std::size_t m = 0; m < nm; ++m)
-    for (std::size_t g = 0; g < g_count; ++g) {
-      xs.sigt(m, g) = sigt[m];
-      xs.sigs(m, g) = scattering[m] * sigt[m];
-      xs.siga(m, g) = xs.sigt(m, g) - xs.sigs(m, g);
-      xs.slgg(m, g, g) = xs.sigs(m, g);  // isotropic, in-group only
-    }
-  return xs;
+  for (std::size_t m = 0; m < sigt.size(); ++m) {
+    libxs::Material mat;
+    mat.name = std::to_string(m);  // the deck id
+    mat.sigt.assign(g_count, sigt[m]);
+    mat.sigs_total.assign(g_count, scattering[m] * sigt[m]);
+    mat.sigs.resize({1, g_count, g_count}, 0.0);
+    for (std::size_t g = 0; g < g_count; ++g)
+      mat.sigs(0, g, g) = mat.sigs_total[g];
+    lib.materials.push_back(std::move(mat));
+  }
+  return lib;
 }
 
 void RunConfig::validate() const {
@@ -175,9 +172,11 @@ void RunConfig::validate() const {
     require(time.dt > 0.0, "time: dt must be positive");
     require(time.steps >= 1, "time: steps must be >= 1");
     require(ranks == 1, "time: the time integrator is single-domain");
-    require(!custom,
-            "time: the time integrator consumes the flat snap::Input deck "
-            "(no custom material/source regions)");
+    require(!materials.custom(),
+            "time: the custom sigt route carries no group speeds (use the "
+            "generated route or an [xs] library with velocities)");
+    require(!source.custom(),
+            "time: the time integrator takes no [source] regions");
   }
   if (mode == RunMode::Time && xs.active())
     require(!lib->velocity.empty(),
@@ -275,13 +274,13 @@ core::ProblemData RunConfig::problem_data(
   const int ne = m.num_elements();
   const int ng = materials.num_groups;
 
-  snap::CrossSections table =
+  libxs::Library table =
       materials.custom()
-          ? materials.cross_sections()
+          ? materials.library()
           : xs.active()
-                ? libxs::read_library_file(xs.file).cross_sections(
+                ? libxs::read_library_file(xs.file).select(
                       materials.material_names, angular.nmom)
-                : snap::make_cross_sections(ng, materials.scattering_ratio,
+                : libxs::Library::synthetic(ng, materials.scattering_ratio,
                                             angular.nmom);
 
   std::vector<int> material;

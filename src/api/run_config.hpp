@@ -8,7 +8,7 @@
 
 #include "api/options.hpp"
 #include "fem/geometry.hpp"
-#include "snap/data.hpp"
+#include "xs/library.hpp"
 
 namespace unsnap::core {
 class Discretization;
@@ -53,7 +53,7 @@ struct Box {
 };
 
 /// Deck-expressible materials: either SNAP's generated route (mat_opt /
-/// scattering_ratio over make_cross_sections) or the custom route every
+/// scattering_ratio over xs::Library::synthetic) or the custom route every
 /// bespoke scenario in this repo uses — per-material total cross sections
 /// with a per-material scattering ratio (isotropic, in-group only,
 /// constant across groups) assigned to elements by an ordered
@@ -82,8 +82,9 @@ struct MaterialModel {
   std::vector<std::string> material_names{};
 
   [[nodiscard]] bool custom() const { return !sigt.empty(); }
-  /// The diagonal in-group cross-section set of the custom route.
-  [[nodiscard]] snap::CrossSections cross_sections() const;
+  /// The custom route's library: isotropic, in-group scattering only,
+  /// no group speeds.
+  [[nodiscard]] xs::Library library() const;
   [[nodiscard]] bool operator==(const MaterialModel&) const = default;
 };
 
@@ -125,8 +126,9 @@ struct SourceModel {
   [[nodiscard]] bool operator==(const SourceModel&) const = default;
 };
 
-/// The [time] section (RunMode::Time): backward-Euler steps with SNAP's
-/// generated group speeds. `initial` is the uniform isotropic initial
+/// The [time] section (RunMode::Time): backward-Euler steps with the
+/// lowered library's group speeds (SNAP's generated ones on the generated
+/// route). `initial` is the uniform isotropic initial
 /// angular flux; `zero_source` drops the deck's external source so the
 /// pulse decays freely (decks/pulse_decay.inp).
 struct TimeSpec {

@@ -99,7 +99,7 @@ void apply_manufactured(TransportSolver& solver,
   // sum uses the same field).
   for (int e = 0; e < ne; ++e) {
     const std::vector<Vec3> pos = element_node_positions(disc, e);
-    const int m = problem.material[e];
+    const xs::Material& mat = problem.xs.materials[problem.material[e]];
     std::vector<double> val(static_cast<std::size_t>(n));
     std::vector<Vec3> grad(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
@@ -107,8 +107,8 @@ void apply_manufactured(TransportSolver& solver,
       grad[i] = ms.gradient(pos[i]);
     }
     for (int g = 0; g < ng; ++g) {
-      double removal = problem.xs.sigt(m, g);
-      for (int gp = 0; gp < ng; ++gp) removal -= problem.xs.slgg(m, gp, g);
+      double removal = mat.sigt[g];
+      for (int gp = 0; gp < ng; ++gp) removal -= mat.sigs(0, gp, g);
       for (int oct = 0; oct < angular::kOctants; ++oct)
         for (int a = 0; a < nang; ++a) {
           const Vec3 omega = quad.direction(oct, a);

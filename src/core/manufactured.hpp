@@ -11,7 +11,7 @@ namespace unsnap::core {
 /// scalar flux equals psi_e because the quadrature weights sum to 1); the
 /// matching per-angle source
 ///   q(x, Omega, g) = Omega . grad psi_e + sigt_g psi_e
-///                    - sum_g' slgg(g' -> g) psi_e
+///                    - sum_g' sigs(0, g', g) psi_e
 /// and Dirichlet inflow boundary data are injected into a TransportSolver.
 ///
 /// Key property: an order-p element reproduces any psi_e whose composition

@@ -13,12 +13,11 @@ void SourceUpdater::update_outer(const NodalField& phi,
   const int ne = disc_->num_elements();
   const int ng = problem_->xs.ng;
   const int n = disc_->num_nodes();
-  const auto& slgg = problem_->xs.slgg;
   const auto& qext = problem_->qext;
 
 #pragma omp parallel for schedule(static)
   for (int e = 0; e < ne; ++e) {
-    const int m = problem_->material[e];
+    const auto& sigs = problem_->xs.materials[problem_->material[e]].sigs;
     for (int g = 0; g < ng; ++g) {
       double* out = qout.at(e, g);
       const double q0 = qext(e, g);
@@ -26,7 +25,7 @@ void SourceUpdater::update_outer(const NodalField& phi,
       for (int i = 0; i < n; ++i) out[i] = q0;
       for (int gp = 0; gp < ng; ++gp) {
         if (gp == g) continue;
-        const double xs = slgg(m, gp, g);
+        const double xs = sigs(0, gp, g);
         if (xs == 0.0) continue;
         const double* ph = phi.at(e, gp);
 #pragma omp simd
@@ -42,13 +41,12 @@ void SourceUpdater::update_inner(const NodalField& phi,
   const int ne = disc_->num_elements();
   const int ng = problem_->xs.ng;
   const int n = disc_->num_nodes();
-  const auto& slgg = problem_->xs.slgg;
 
 #pragma omp parallel for schedule(static)
   for (int e = 0; e < ne; ++e) {
-    const int m = problem_->material[e];
+    const auto& sigs = problem_->xs.materials[problem_->material[e]].sigs;
     for (int g = 0; g < ng; ++g) {
-      const double xs = slgg(m, g, g);
+      const double xs = sigs(0, g, g);
       const double* qo = qout.at(e, g);
       const double* ph = phi.at(e, g);
       double* out = qin.at(e, g);
@@ -64,7 +62,6 @@ void SourceUpdater::update_outer_moments(
   const int ne = disc_->num_elements();
   const int ng = problem_->xs.ng;
   const int n = disc_->num_nodes();
-  const auto& slgg_hi = problem_->xs.slgg_hi;
   UNSNAP_ASSERT(phi_hi.size() == qout_hi.size());
 
   for (std::size_t mom = 0; mom < qout_hi.size(); ++mom) {
@@ -73,14 +70,14 @@ void SourceUpdater::update_outer_moments(
         static_cast<int>(mom) + 1);
 #pragma omp parallel for schedule(static)
     for (int e = 0; e < ne; ++e) {
-      const int m = problem_->material[e];
+      const auto& sigs = problem_->xs.materials[problem_->material[e]].sigs;
       for (int g = 0; g < ng; ++g) {
         double* out = qout_hi[mom].at(e, g);
 #pragma omp simd
         for (int i = 0; i < n; ++i) out[i] = 0.0;
         for (int gp = 0; gp < ng; ++gp) {
           if (gp == g) continue;
-          const double xs = slgg_hi(m, l - 1, gp, g);
+          const double xs = sigs(l, gp, g);
           if (xs == 0.0) continue;
           const double* ph = phi_hi[mom].at(e, gp);
 #pragma omp simd
@@ -98,16 +95,15 @@ void SourceUpdater::update_inner_moments(
   const int ne = disc_->num_elements();
   const int ng = problem_->xs.ng;
   const int n = disc_->num_nodes();
-  const auto& slgg_hi = problem_->xs.slgg_hi;
 
   for (std::size_t mom = 0; mom < qin_hi.size(); ++mom) {
     const int l = angular::SphericalHarmonics::degree_of(
         static_cast<int>(mom) + 1);
 #pragma omp parallel for schedule(static)
     for (int e = 0; e < ne; ++e) {
-      const int m = problem_->material[e];
+      const auto& sigs = problem_->xs.materials[problem_->material[e]].sigs;
       for (int g = 0; g < ng; ++g) {
-        const double xs = slgg_hi(m, l - 1, g, g);
+        const double xs = sigs(l, g, g);
         const double* qo = qout_hi[mom].at(e, g);
         const double* ph = phi_hi[mom].at(e, g);
         double* out = qin_hi[mom].at(e, g);

@@ -16,16 +16,17 @@ class SourceUpdater {
   SourceUpdater(const Discretization& disc, const ProblemData& problem)
       : disc_(&disc), problem_(&problem) {}
 
-  /// qout(e,g,:) = qext(e,g) + sum_{g' != g} slgg(mat, g', g) phi(e,g',:).
+  /// qout(e,g,:) = qext(e,g) + sum_{g' != g} sigs(0, g', g) phi(e,g',:),
+  /// with sigs the element material's transfer matrix.
   void update_outer(const NodalField& phi, NodalField& qout) const;
 
-  /// qin(e,g,:) = qout(e,g,:) + slgg(mat, g, g) phi(e,g,:).
+  /// qin(e,g,:) = qout(e,g,:) + sigs(0, g, g) phi(e,g,:).
   void update_inner(const NodalField& phi, const NodalField& qout,
                     NodalField& qin) const;
 
   /// Higher-moment analogues for anisotropic scattering (nmom > 1): the
   /// source moment of flat index m uses the l = degree(m) transfer matrix
-  /// slgg_hi. Vectors hold the count-1 moments above l = 0.
+  /// sigs(l, ., .). Vectors hold the count-1 moments above l = 0.
   void update_outer_moments(const std::vector<NodalField>& phi_hi,
                             std::vector<NodalField>& qout_hi) const;
   void update_inner_moments(const std::vector<NodalField>& phi_hi,

@@ -4,26 +4,6 @@
 
 namespace unsnap::core {
 
-std::vector<double> TimeDependentSolver::snap_velocities(int ng) {
-  std::vector<double> v(static_cast<std::size_t>(ng));
-  for (int g = 0; g < ng; ++g) v[g] = 1.0 / (1.0 + 0.5 * g);
-  return v;
-}
-
-TimeDependentSolver::TimeDependentSolver(
-    std::shared_ptr<const Discretization> disc, const snap::Input& input,
-    std::vector<double> velocities, double dt)
-    : velocities_(std::move(velocities)), dt_(dt) {
-  require(dt > 0.0, "TimeDependentSolver: dt must be positive");
-  require(static_cast<int>(velocities_.size()) == input.ng,
-          "TimeDependentSolver: one velocity per group required");
-  for (const double v : velocities_)
-    require(v > 0.0, "TimeDependentSolver: velocities must be positive");
-
-  solver_ = std::make_unique<TransportSolver>(std::move(disc), input);
-  fold_time_absorption(input.ng);
-}
-
 TimeDependentSolver::TimeDependentSolver(
     std::shared_ptr<const Discretization> disc, const snap::Input& input,
     const ProblemData& problem, std::vector<double> velocities, double dt)
@@ -37,6 +17,12 @@ TimeDependentSolver::TimeDependentSolver(
   solver_ = std::make_unique<TransportSolver>(std::move(disc), input, problem);
   fold_time_absorption(input.ng);
 }
+
+TimeDependentSolver::TimeDependentSolver(
+    std::shared_ptr<const Discretization> disc, const snap::Input& input,
+    std::vector<double> velocities, double dt)
+    : TimeDependentSolver(disc, input, ProblemData(*disc, input),
+                          std::move(velocities), dt) {}
 
 void TimeDependentSolver::fold_time_absorption(int ng) {
   // sigt' = sigt + 1/(v_g dt). The absorption table stays untouched so

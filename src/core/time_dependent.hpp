@@ -25,21 +25,17 @@ class TimeDependentSolver {
     double total_density = 0.0; // sum_g (1/v_g) Int phi_g dV after the step
   };
 
-  /// `velocities` holds one particle speed per group; dt is the step.
-  TimeDependentSolver(std::shared_ptr<const Discretization> disc,
-                      const snap::Input& input,
-                      std::vector<double> velocities, double dt);
-
-  /// Pre-built problem data (the [xs] library route): same integration,
-  /// but the cross sections/source come from `problem` instead of the
-  /// generated snap::Input tables. Library group velocities pair with this
-  /// overload.
+  /// `velocities` holds one particle speed per group (a lowered
+  /// library's `velocity`); dt is the step. The cross sections and source
+  /// come from `problem`.
   TimeDependentSolver(std::shared_ptr<const Discretization> disc,
                       const snap::Input& input, const ProblemData& problem,
                       std::vector<double> velocities, double dt);
 
-  /// SNAP-style generated speeds, fastest group first: v_g = 1 / (1 + g/2).
-  [[nodiscard]] static std::vector<double> snap_velocities(int ng);
+  /// Over the problem data SNAP's generator makes from `input`.
+  TimeDependentSolver(std::shared_ptr<const Discretization> disc,
+                      const snap::Input& input,
+                      std::vector<double> velocities, double dt);
 
   /// Set a uniform isotropic initial angular flux psi = value (also
   /// refreshes the scalar flux to match).

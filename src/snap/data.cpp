@@ -1,21 +1,8 @@
 #include "snap/data.hpp"
 
-#include <cmath>
-
 #include "util/assert.hpp"
-#include "xs/library.hpp"
 
 namespace unsnap::snap {
-
-CrossSections make_cross_sections(int ng, double scattering_ratio,
-                                  int nmom) {
-  // The generation loops live in xs::Library::synthetic — SNAP's
-  // artificial data is one instance of the library model, lowered through
-  // the same path a file-loaded library takes. The library carries sigs
-  // as an explicit per-group total (not a row sum), so this delegation is
-  // bit-identical to the historical in-place generation.
-  return xs::Library::synthetic(ng, scattering_ratio, nmom).cross_sections();
-}
 
 namespace {
 

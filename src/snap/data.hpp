@@ -7,47 +7,6 @@
 
 namespace unsnap::snap {
 
-/// Artificial multigroup cross sections in the style of SNAP's generated
-/// problem data ("Source and Material Option 1" in the paper): two
-/// materials, per-group totals growing by 0.01 per group, and a dense
-/// group-to-group scattering transfer matrix with in-group, downscatter
-/// and upscatter components so the Jacobi group coupling is genuinely
-/// exercised.
-struct CrossSections {
-  int num_materials = 0;
-  int ng = 0;
-  /// Number of Legendre scattering orders carried (SNAP's nmom); 1 means
-  /// isotropic scattering only.
-  int nmom = 1;
-  NDArray<double, 2> sigt;  // [mat][g] total
-  NDArray<double, 2> sigs;  // [mat][g] total scattering (row sum of slgg)
-  NDArray<double, 2> siga;  // [mat][g] absorption = sigt - sigs
-  NDArray<double, 3> slgg;  // [mat][g_from][g_to] l = 0 transfer
-  /// Higher Legendre orders of the transfer matrix: [mat][l-1][g_from][g_to]
-  /// for l = 1..nmom-1 (empty when nmom == 1). The l = 0 conservation
-  /// property (rows sum to sigs) applies only to slgg; higher orders shape
-  /// the angular emission without creating or destroying particles.
-  NDArray<double, 4> slgg_hi;
-  /// Fission production nu * sigf and spectrum chi, [mat][g]. Both empty
-  /// for fixed-source data (the generated sets and plain-material decks);
-  /// populated when an xs::Library with fissile materials lowers here.
-  /// Non-fissile materials inside a fissile set carry zero rows.
-  NDArray<double, 2> nu_sigf;
-  NDArray<double, 2> chi;
-
-  [[nodiscard]] bool has_fission() const { return nu_sigf.size() != 0; }
-};
-
-/// Build the two-material set. `scattering_ratio` is material 1's
-/// c = sigs/sigt (SNAP default 0.5); material 2 is denser (sigt 2.0) and
-/// slightly more scattering, as in SNAP's second material. With nmom > 1,
-/// higher scattering orders decay geometrically
-/// (slgg_l = 0.4^l slgg_0, mildly forward peaked), in the spirit of
-/// SNAP's generated anisotropy.
-[[nodiscard]] CrossSections make_cross_sections(int ng,
-                                                double scattering_ratio,
-                                                int nmom = 1);
-
 /// Material id per element, assigned by element centroid so shuffled
 /// numbering cannot leak structure:
 ///  - mat_opt 0: material 0 everywhere,

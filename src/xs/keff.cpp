@@ -68,7 +68,6 @@ KeffSolver::KeffSolver(std::shared_ptr<const core::Discretization> disc,
 
   const int ne = disc_->num_elements();
   const int n = disc_->num_nodes();
-  const snap::CrossSections& gxs = problem_.xs;
 
   phi_ = NodalField(input_.layout, ne, input_.ng, n);
   if (input_.nmom > 1) {
@@ -85,39 +84,13 @@ KeffSolver::KeffSolver(std::shared_ptr<const core::Discretization> disc,
   // the coupling source. The external source is zero — keff is a pure
   // eigenvalue problem.
   for (const GroupRange& set : sets_) {
-    const int sg = set.size();
-    const auto nm = static_cast<std::size_t>(gxs.num_materials);
-    const auto sgc = static_cast<std::size_t>(sg);
-    snap::CrossSections sxs;
-    sxs.num_materials = gxs.num_materials;
-    sxs.ng = sg;
-    sxs.nmom = gxs.nmom;
-    sxs.sigt.resize({nm, sgc});
-    sxs.sigs.resize({nm, sgc});
-    sxs.siga.resize({nm, sgc});
-    sxs.slgg.resize({nm, sgc, sgc}, 0.0);
-    if (gxs.nmom > 1)
-      sxs.slgg_hi.resize(
-          {nm, static_cast<std::size_t>(gxs.nmom - 1), sgc, sgc}, 0.0);
-    for (int m = 0; m < gxs.num_materials; ++m) {
-      for (int gl = 0; gl < sg; ++gl) {
-        const int g = set.lo + gl;
-        sxs.sigt(m, gl) = gxs.sigt(m, g);
-        sxs.sigs(m, gl) = gxs.sigs(m, g);
-        sxs.siga(m, gl) = gxs.siga(m, g);
-        for (int gl2 = 0; gl2 < sg; ++gl2) {
-          sxs.slgg(m, gl, gl2) = gxs.slgg(m, g, set.lo + gl2);
-          for (int l = 1; l < gxs.nmom; ++l)
-            sxs.slgg_hi(m, l - 1, gl, gl2) =
-                gxs.slgg_hi(m, l - 1, g, set.lo + gl2);
-        }
-      }
-    }
-    NDArray<double, 2> qz({static_cast<std::size_t>(ne), sgc}, 0.0);
+    NDArray<double, 2> qz(
+        {static_cast<std::size_t>(ne), static_cast<std::size_t>(set.size())},
+        0.0);
     snap::Input si = input_;
-    si.ng = sg;
-    core::ProblemData pd(*disc_, std::move(sxs), problem_.material,
-                         std::move(qz));
+    si.ng = set.size();
+    core::ProblemData pd(*disc_, problem_.xs.slice(set.lo, set.hi),
+                         problem_.material, std::move(qz));
     solvers_.push_back(std::make_unique<core::TransportSolver>(
         disc_, si, std::move(pd)));
   }
@@ -160,10 +133,11 @@ void KeffSolver::compute_fission(std::vector<double>& out) const {
   const int n = disc_->num_nodes();
   out.assign(static_cast<std::size_t>(ne) * n, 0.0);
   for (int e = 0; e < ne; ++e) {
-    const int m = problem_.material[static_cast<std::size_t>(e)];
+    const Material& mat = material_of(e);
+    if (!mat.fissile()) continue;
     double* f = out.data() + static_cast<std::size_t>(e) * n;
     for (int g = 0; g < input_.ng; ++g) {
-      const double nsf = problem_.xs.nu_sigf(m, g);
+      const double nsf = mat.nu_sigf[static_cast<std::size_t>(g)];
       if (nsf == 0.0) continue;
       const double* ph = phi_.at(e, g);
       for (int i = 0; i < n; ++i) f[i] += nsf * ph[i];
@@ -174,7 +148,6 @@ void KeffSolver::compute_fission(std::vector<double>& out) const {
 void KeffSolver::fill_coupling(int set) {
   const GroupRange& range = sets_[static_cast<std::size_t>(set)];
   core::TransportSolver& solver = *solvers_[static_cast<std::size_t>(set)];
-  const snap::CrossSections& gxs = problem_.xs;
   const int ne = disc_->num_elements();
   const int n = disc_->num_nodes();
   const int ng = input_.ng;
@@ -183,16 +156,17 @@ void KeffSolver::fill_coupling(int set) {
   NodalField& coupling = solver.coupling_source();
 #pragma omp parallel for schedule(static)
   for (int e = 0; e < ne; ++e) {
-    const int m = problem_.material[static_cast<std::size_t>(e)];
+    const Material& mat = material_of(e);
     const double* f = fission_.data() + static_cast<std::size_t>(e) * n;
     for (int gl = 0; gl < range.size(); ++gl) {
       const int g = range.lo + gl;
       double* c = coupling.at(e, gl);
-      const double chi_over_k = gxs.chi(m, g) * inv_k;
+      const double chi_over_k =
+          mat.fissile() ? mat.chi[static_cast<std::size_t>(g)] * inv_k : 0.0;
       for (int i = 0; i < n; ++i) c[i] = chi_over_k * f[i];
       for (int gp = 0; gp < ng; ++gp) {
         if (gp >= range.lo && gp <= range.hi) continue;
-        const double s = gxs.slgg(m, gp, g);
+        const double s = mat.sigs(0, gp, g);
         if (s == 0.0) continue;
         const double* ph = phi_.at(e, gp);
         for (int i = 0; i < n; ++i) c[i] += s * ph[i];
@@ -211,14 +185,14 @@ void KeffSolver::fill_coupling(int set) {
       const NodalField& phim = phi_mom_[mom];
 #pragma omp parallel for schedule(static)
       for (int e = 0; e < ne; ++e) {
-        const int m = problem_.material[static_cast<std::size_t>(e)];
+        const Material& mat = material_of(e);
         for (int gl = 0; gl < range.size(); ++gl) {
           const int g = range.lo + gl;
           double* c = target.at(e, gl);
           for (int i = 0; i < n; ++i) c[i] = 0.0;
           for (int gp = 0; gp < ng; ++gp) {
             if (gp >= range.lo && gp <= range.hi) continue;
-            const double s = gxs.slgg_hi(m, l - 1, gp, g);
+            const double s = mat.sigs(l, gp, g);
             if (s == 0.0) continue;
             const double* ph = phim.at(e, gp);
             for (int i = 0; i < n; ++i) c[i] += s * ph[i];
@@ -459,8 +433,9 @@ core::BalanceReport KeffSolver::balance() const {
   for (int g = 0; g < ng; ++g) {
     double rate = 0.0;
     for (int e = 0; e < ne; ++e) {
-      const int m = problem_.material[static_cast<std::size_t>(e)];
-      const double nsf = problem_.xs.nu_sigf(m, g);
+      const Material& mat = material_of(e);
+      if (!mat.fissile()) continue;
+      const double nsf = mat.nu_sigf[static_cast<std::size_t>(g)];
       if (nsf == 0.0) continue;
       const double* w = ints.node_weights(e);
       const double* ph = phi_.at(e, g);

@@ -86,9 +86,9 @@ struct KeffResult {
 class KeffSolver {
  public:
   /// `input` is the global flat input (its ng spans the whole library);
-  /// `problem` carries the fission-extended cross sections (xs.has_fission
-  /// must hold). The external source in `problem` is ignored: keff is a
-  /// pure eigenvalue problem.
+  /// `problem` carries the cross sections with their fission data
+  /// (xs.has_fission() must hold). The external source in `problem` is
+  /// ignored: keff is a pure eigenvalue problem.
   KeffSolver(std::shared_ptr<const core::Discretization> disc,
              const snap::Input& input, const core::ProblemData& problem,
              KeffOptions options);
@@ -121,7 +121,7 @@ class KeffSolver {
  private:
   std::shared_ptr<const core::Discretization> disc_;
   snap::Input input_;            // global (ng = library ng)
-  core::ProblemData problem_;    // global fission-extended data
+  core::ProblemData problem_;    // global data, fission included
   KeffOptions options_;
   std::vector<GroupRange> sets_;
   std::vector<std::unique_ptr<core::TransportSolver>> solvers_;
@@ -134,6 +134,10 @@ class KeffSolver {
   double k_ = 1.0;
   core::IterationObserver* observer_ = nullptr;
 
+  [[nodiscard]] const Material& material_of(int e) const {
+    return problem_.xs.materials[static_cast<std::size_t>(
+        problem_.material[static_cast<std::size_t>(e)])];
+  }
   /// sum_e sum_i w_i F(e, i) (serial, element-ordered).
   [[nodiscard]] double production(const std::vector<double>& fission) const;
   void compute_fission(std::vector<double>& out) const;

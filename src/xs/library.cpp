@@ -1,6 +1,7 @@
 #include "xs/library.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -53,17 +54,6 @@ int Library::index_of(const std::string& name) const {
 bool Library::has_fission() const {
   return std::any_of(materials.begin(), materials.end(),
                      [](const Material& m) { return m.fissile(); });
-}
-
-bool Library::pure_downscatter() const {
-  for (const Material& m : materials) {
-    if (m.sigs.size() == 0) continue;
-    for (int l = 0; l < static_cast<int>(m.sigs.extent(0)); ++l)
-      for (int gf = 0; gf < ng; ++gf)
-        for (int gt = 0; gt < gf; ++gt)
-          if (m.sigs(l, gf, gt) != 0.0) return false;
-  }
-  return true;
 }
 
 void Library::validate() const {
@@ -189,6 +179,8 @@ int parse_int(const std::string& source, const Token& t) {
   const long v = std::strtol(begin, &end, 10);
   if (end == begin || *end != '\0')
     fail(source, t, "expected an integer, got '" + t.text + "'");
+  if (v < INT_MIN || v > INT_MAX)
+    fail(source, t, "integer '" + t.text + "' out of range");
   return static_cast<int>(v);
 }
 
@@ -429,70 +421,65 @@ std::string write_library(const Library& lib) {
 
 // --- lowering --------------------------------------------------------------
 
-snap::CrossSections Library::cross_sections(
-    const std::vector<std::string>& names, int nmom_out) const {
-  std::vector<int> pick;
-  if (names.empty()) {
-    for (std::size_t i = 0; i < materials.size(); ++i)
-      pick.push_back(static_cast<int>(i));
-  } else {
-    for (const std::string& name : names) {
-      const int idx = index_of(name);
-      require(idx >= 0,
-              "cross sections: unknown material '" + name + "' in library");
-      pick.push_back(idx);
-    }
-  }
+Library Library::select(const std::vector<std::string>& names,
+                        int nmom_out) const {
   const int nm_out = nmom_out == 0 ? nmom : nmom_out;
   require(nm_out >= 1 && nm_out <= nmom,
           "cross sections: requested " + std::to_string(nm_out) +
               " scattering orders but the library carries " +
               std::to_string(nmom));
-
-  snap::CrossSections out;
-  out.num_materials = static_cast<int>(pick.size());
+  Library out;
   out.ng = ng;
   out.nmom = nm_out;
-  const auto nm = static_cast<std::size_t>(out.num_materials);
+  out.velocity = velocity;
   const auto gc = static_cast<std::size_t>(ng);
-  out.sigt.resize({nm, gc});
-  out.sigs.resize({nm, gc});
-  out.siga.resize({nm, gc});
-  out.slgg.resize({nm, gc, gc}, 0.0);
-  if (nm_out > 1)
-    out.slgg_hi.resize({nm, static_cast<std::size_t>(nm_out - 1), gc, gc},
-                       0.0);
-  const bool any_fissile = std::any_of(
-      pick.begin(), pick.end(),
-      [&](int idx) { return materials[static_cast<std::size_t>(idx)].fissile(); });
-  if (any_fissile) {
-    out.nu_sigf.resize({nm, gc}, 0.0);
-    out.chi.resize({nm, gc}, 0.0);
+  auto pick = [&](const Material& m) {
+    require(m.sigs.size() == 0 ||
+                m.sigs.size() == static_cast<std::size_t>(nmom) * gc * gc,
+            "cross sections: material '" + m.name +
+                "': scatter matrix must be nmom x ng x ng");
+    Material sel = m;
+    sel.sigs.resize({static_cast<std::size_t>(nm_out), gc, gc}, 0.0);
+    if (m.sigs.size() != 0)
+      std::copy_n(m.sigs.data(), sel.sigs.size(), sel.sigs.data());
+    out.materials.push_back(std::move(sel));
+  };
+  if (names.empty()) {
+    for (const Material& m : materials) pick(m);
+  } else {
+    for (const std::string& name : names) {
+      const int idx = index_of(name);
+      require(idx >= 0,
+              "cross sections: unknown material '" + name + "' in library");
+      pick(materials[static_cast<std::size_t>(idx)]);
+    }
   }
+  return out;
+}
 
-  for (std::size_t mi = 0; mi < pick.size(); ++mi) {
-    const Material& m = materials[static_cast<std::size_t>(pick[mi])];
-    const int mo = static_cast<int>(mi);
-    for (int g = 0; g < ng; ++g) {
-      out.sigt(mo, g) = m.sigt[static_cast<std::size_t>(g)];
-      out.sigs(mo, g) = m.scattering_total(g);
-      out.siga(mo, g) = out.sigt(mo, g) - out.sigs(mo, g);
+Library Library::slice(int lo, int hi) const {
+  require(0 <= lo && lo <= hi && hi < ng,
+          "cross sections: group slice " + std::to_string(lo) + ".." +
+              std::to_string(hi) + " outside groups 0.." +
+              std::to_string(ng - 1));
+  Library out;
+  out.ng = hi - lo + 1;
+  out.nmom = nmom;
+  const auto sg = static_cast<std::size_t>(out.ng);
+  for (const Material& m : materials) {
+    Material s;
+    s.name = m.name;
+    s.sigt.assign(m.sigt.begin() + lo, m.sigt.begin() + hi + 1);
+    s.sigs_total.resize(sg);
+    s.sigs.resize({static_cast<std::size_t>(nmom), sg, sg});
+    for (int gl = 0; gl < out.ng; ++gl) {
+      s.sigs_total[static_cast<std::size_t>(gl)] =
+          m.scattering_total(lo + gl);
+      for (int l = 0; l < nmom; ++l)
+        for (int gl2 = 0; gl2 < out.ng; ++gl2)
+          s.sigs(l, gl, gl2) = m.sigs(l, lo + gl, lo + gl2);
     }
-    if (m.sigs.size() != 0) {
-      for (int gf = 0; gf < ng; ++gf)
-        for (int gt = 0; gt < ng; ++gt)
-          out.slgg(mo, gf, gt) = m.sigs(0, gf, gt);
-      for (int l = 1; l < nm_out; ++l)
-        for (int gf = 0; gf < ng; ++gf)
-          for (int gt = 0; gt < ng; ++gt)
-            out.slgg_hi(mo, l - 1, gf, gt) = m.sigs(l, gf, gt);
-    }
-    if (m.fissile()) {
-      for (int g = 0; g < ng; ++g) {
-        out.nu_sigf(mo, g) = m.nu_sigf[static_cast<std::size_t>(g)];
-        out.chi(mo, g) = m.chi[static_cast<std::size_t>(g)];
-      }
-    }
+    out.materials.push_back(std::move(s));
   }
   return out;
 }
@@ -507,8 +494,7 @@ Library Library::synthetic(int ng, double scattering_ratio, int nmom) {
   lib.nmom = nmom;
   const auto gc = static_cast<std::size_t>(ng);
 
-  // SNAP-style generated group speeds, fastest group first (matches
-  // core::TimeDependentSolver::snap_velocities).
+  // SNAP-style generated group speeds, fastest group first.
   lib.velocity.resize(gc);
   for (int g = 0; g < ng; ++g)
     lib.velocity[static_cast<std::size_t>(g)] = 1.0 / (1.0 + 0.5 * g);
@@ -596,6 +582,8 @@ std::vector<GroupRange> parse_groupsets(const std::string& spec, int ng) {
       const long v = std::strtol(begin, &end, 10);
       require(end != begin && *end == '\0' && !s.empty(),
               "groupsets: bad range '" + part + "'");
+      require(v >= INT_MIN && v <= INT_MAX,
+              "groupsets: group '" + s + "' out of range in '" + part + "'");
       return static_cast<int>(v);
     };
     if (colon == std::string::npos) {
@@ -621,30 +609,18 @@ std::vector<GroupRange> parse_groupsets(const std::string& spec, int ng) {
   return sets;
 }
 
-std::string format_groupsets(const std::vector<GroupRange>& sets) {
-  std::string out;
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    if (i != 0) out += ",";
-    out += std::to_string(sets[i].lo);
-    if (sets[i].hi != sets[i].lo) out += ":" + std::to_string(sets[i].hi);
-  }
-  return out;
-}
-
-std::vector<GroupRange> default_groupsets(const snap::CrossSections& xs) {
+std::vector<GroupRange> default_groupsets(const Library& xs) {
   const int ng = xs.ng;
   // boundary_ok[g]: no material scatters (any order) from a group above g
   // back to a group at or below g, so a groupset may end at g.
   std::vector<char> boundary_ok(static_cast<std::size_t>(ng), 1);
   for (int g = 0; g < ng - 1; ++g) {
     bool ok = true;
-    for (int m = 0; ok && m < xs.num_materials; ++m)
-      for (int gf = g + 1; ok && gf < ng; ++gf)
-        for (int gt = 0; ok && gt <= g; ++gt) {
-          if (xs.slgg(m, gf, gt) != 0.0) ok = false;
-          for (int l = 1; ok && l < xs.nmom; ++l)
-            if (xs.slgg_hi(m, l - 1, gf, gt) != 0.0) ok = false;
-        }
+    for (const Material& m : xs.materials)
+      for (int l = 0; ok && l < xs.nmom; ++l)
+        for (int gf = g + 1; ok && gf < ng; ++gf)
+          for (int gt = 0; ok && gt <= g; ++gt)
+            if (m.sigs(l, gf, gt) != 0.0) ok = false;
     boundary_ok[static_cast<std::size_t>(g)] = ok ? 1 : 0;
   }
   std::vector<GroupRange> sets;

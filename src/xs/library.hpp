@@ -3,19 +3,20 @@
 #include <string>
 #include <vector>
 
-#include "snap/data.hpp"
 #include "util/ndarray.hpp"
 
 namespace unsnap::xs {
 
 /// Multigroup cross-section library: a MATXS-lite plain-text format and
-/// its in-memory model. One library carries the group structure (ng,
+/// its in-memory model, the one cross-section type the solver reads
+/// (core::ProblemData::xs). One library carries the group structure (ng,
 /// scattering orders, optional group speeds) and a set of named materials
 /// with per-group totals, full group-to-group scattering matrices up to
 /// order nmom-1, and optional fission data (nu_sigf / chi). The deck's
 /// `[xs] file = ...` section loads one of these; SNAP's synthetic group
 /// structure is generated as an instance of the same model (synthetic()),
-/// so the artificial decks and a real library flow through one lowering.
+/// and the deck's sigt lists build one too, so every route lowers to a
+/// library whose material i is deck material id i.
 ///
 /// File format (line-oriented, `#`/`!` comments, whitespace-separated
 /// tokens; every error is reported as `file:line:column: message`):
@@ -65,26 +66,28 @@ struct Library {
   /// Index of the named material, -1 when absent.
   [[nodiscard]] int index_of(const std::string& name) const;
   [[nodiscard]] bool has_fission() const;
-  /// True when no material has an upscatter entry (g_from < g_to never
-  /// maps upward, i.e. every transfer satisfies g_to >= g_from).
-  [[nodiscard]] bool pure_downscatter() const;
 
   /// Shape/positivity checks for programmatically built libraries (the
   /// parser enforces the same rules with file:line:column locations).
   void validate() const;
 
-  /// Lower onto the solver's cross-section tables. `names` selects and
-  /// orders the materials (empty = all, library order); `nmom_out` is the
-  /// number of scattering orders to carry (0 = all of nmom; must not
-  /// exceed it — the [xs] deck route passes [angular] nmom). Fission
-  /// columns are populated whenever any selected material is fissile
-  /// (zero rows for the others).
-  [[nodiscard]] snap::CrossSections cross_sections(
-      const std::vector<std::string>& names = {}, int nmom_out = 0) const;
+  /// The library the solver reads: `names` selects and orders the
+  /// materials (empty = all, library order) and `nmom_out` orders are
+  /// kept (0 = all of nmom; must not exceed it — the [xs] deck route
+  /// passes [angular] nmom). Every selected material carries a
+  /// nmom_out x ng x ng `sigs`, zeros where the library listed no scatter
+  /// entries; fission data and group speeds pass through.
+  [[nodiscard]] Library select(const std::vector<std::string>& names = {},
+                               int nmom_out = 0) const;
 
-  /// SNAP's artificial two-material group structure as a library —
-  /// the single source of the generated data (snap::make_cross_sections
-  /// is exactly synthetic(...).cross_sections()).
+  /// Groups lo..hi as a library of hi - lo + 1 groups, for a groupset
+  /// solve: the in-block transfers, the groups' totals and their *global*
+  /// total scattering (so absorption stays physical), no fission data and
+  /// no group speeds.
+  [[nodiscard]] Library slice(int lo, int hi) const;
+
+  /// SNAP's artificial two-material group structure as a library — the
+  /// single source of the generated data, group speeds included.
   [[nodiscard]] static Library synthetic(int ng, double scattering_ratio,
                                          int nmom = 1);
 
@@ -119,8 +122,6 @@ struct GroupRange {
 /// order. Throws InvalidInput on malformed specs.
 [[nodiscard]] std::vector<GroupRange> parse_groupsets(const std::string& spec,
                                                       int ng);
-[[nodiscard]] std::string format_groupsets(
-    const std::vector<GroupRange>& sets);
 
 /// The maximal downscatter-ordered partition of 0..ng-1: a boundary is
 /// placed after group g wherever no material scatters (at any order) from
@@ -128,7 +129,6 @@ struct GroupRange {
 /// low-to-high needs no lagged upscatter. Pure-downscatter libraries
 /// split into one groupset per group; fully-coupled (upscattering) data
 /// collapses to a single fused block.
-[[nodiscard]] std::vector<GroupRange> default_groupsets(
-    const snap::CrossSections& xs);
+[[nodiscard]] std::vector<GroupRange> default_groupsets(const Library& xs);
 
 }  // namespace unsnap::xs

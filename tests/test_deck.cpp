@@ -340,6 +340,52 @@ TEST(DeckBinding, GoldenXsDeckMessages) {
                     "t.inp: keff: k-eigenvalue runs are source-free");
 }
 
+// The mode rules of RunConfig::validate, each at its message.
+TEST(DeckBinding, GoldenModeRefusalMessages) {
+  const std::string lib = "[xs]\nfile = " + shipped_xs() + "\n";
+  const std::string sigt_route = "[materials]\nsigt = 1\nscattering = 0.5\n";
+  const std::string source_region =
+      "[source]\nregion = 1 -inf inf -inf inf -inf 1\n";
+  const std::string split = "[decomposition]\npx = 2\n";
+  const std::string time = "[run]\nmode = time\n";
+  expect_bind_error(time + "[time]\ndt = 0\n",
+                    "t.inp: time: dt must be positive");
+  expect_bind_error(time + "[time]\nsteps = 0\n",
+                    "t.inp: time: steps must be >= 1");
+  expect_bind_error(time + split,
+                    "t.inp: time: the time integrator is single-domain");
+  expect_bind_error(time + sigt_route,
+                    "t.inp: time: the custom sigt route carries no group "
+                    "speeds");
+  expect_bind_error(time + source_region,
+                    "t.inp: time: the time integrator takes no [source] "
+                    "regions");
+  const std::string path = ::testing::TempDir() + "still.xs";
+  {
+    std::ofstream out(path);
+    out << "groups 1\nmaterial iron\nsigt 1.0\nsigs 0.3\nend\n";
+  }
+  expect_bind_error(time + "[xs]\nfile = " + path + "\n",
+                    "t.inp: time: the [xs] library '" + path +
+                        "' carries no group velocities");
+
+  const std::string mms = "[run]\nmode = mms\n";
+  expect_bind_error(mms + split,
+                    "t.inp: mms: manufactured runs are single-domain");
+  expect_bind_error(mms + lib,
+                    "t.inp: mms: manufactured runs overwrite materials (no "
+                    "[xs] library)");
+
+  const std::string distributed =
+      "t.inp: decomposition: the distributed drivers consume the flat "
+      "snap::Input deck ";
+  expect_bind_error(split + lib, distributed + "(no [xs] library)");
+  expect_bind_error(split + sigt_route,
+                    distributed + "(no custom material/source regions)");
+  expect_bind_error(split + source_region,
+                    distributed + "(no custom material/source regions)");
+}
+
 TEST(DeckBinding, LibraryParserErrorsKeepTheirOwnLocation) {
   // A malformed library file fails with the library's path:line:column,
   // not the deck's — the deck only lent it the `file =` entry.

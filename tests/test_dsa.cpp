@@ -110,8 +110,9 @@ TEST(Dsa, InfiniteMediumCorrectionIsExact) {
   const core::ProblemData& problem = solver.problem();
   const core::NodalField& layout = solver.scalar_flux();
   for (int g = 0; g < input.ng; ++g) {
-    const double sigs = problem.xs.slgg(0, g, g);
-    const double siga = problem.xs.sigt(0, g) - sigs;
+    const xs::Material& mat = problem.xs.materials[0];
+    const double sigs = mat.sigs(0, g, g);
+    const double siga = mat.sigt[static_cast<std::size_t>(g)] - sigs;
     const double expected = sigs / siga;
     for (int e = 0; e < layout.num_elements(); ++e)
       for (int i = 0; i < layout.node_count(); ++i)

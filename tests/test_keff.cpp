@@ -78,7 +78,7 @@ Problem make_problem(const snap::Input& input, const Library& lib,
   for (int e = 0; e < ne; ++e)
     material.push_back(material_of(disc->mesh().centroid(e)));
   core::ProblemData data(
-      *disc, lib.cross_sections(), std::move(material),
+      *disc, lib.select(), std::move(material),
       NDArray<double, 2>({static_cast<std::size_t>(ne),
                           static_cast<std::size_t>(lib.ng)},
                          0.0));

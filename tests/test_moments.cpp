@@ -115,7 +115,8 @@ snap::Input moment_input(int nmom) {
 }
 
 TEST(AnisotropicScattering, ZeroHigherMomentsReproduceIsotropicRun) {
-  // nmom = 2 with slgg_hi forced to zero must match the nmom = 1 solver
+  // nmom = 2 with the l = 1 transfers forced to zero must match the
+  // nmom = 1 solver
   // to rounding: the moment machinery collapses to the isotropic path.
   snap::Input iso = moment_input(1);
   core::TransportSolver iso_solver(iso);
@@ -123,8 +124,10 @@ TEST(AnisotropicScattering, ZeroHigherMomentsReproduceIsotropicRun) {
 
   snap::Input aniso = moment_input(2);
   const auto disc = std::make_shared<const core::Discretization>(aniso);
-  auto xs = snap::make_cross_sections(aniso.ng, aniso.scattering_ratio, 2);
-  xs.slgg_hi.fill(0.0);
+  auto xs = xs::Library::synthetic(aniso.ng, aniso.scattering_ratio, 2);
+  for (xs::Material& m : xs.materials)
+    for (int gf = 0; gf < aniso.ng; ++gf)
+      for (int gt = 0; gt < aniso.ng; ++gt) m.sigs(1, gf, gt) = 0.0;
   core::ProblemData problem(
       *disc, std::move(xs), snap::assign_materials(disc->mesh(), 0),
       snap::make_external_source(disc->mesh(), 0, aniso.ng));

@@ -47,7 +47,7 @@ TEST(Reflective, InfiniteMediumMatchesAnalyticSolution) {
 
 TEST(Reflective, MultigroupInfiniteMediumMatchesDirectSolve) {
   // With group coupling the infinite-medium fluxes solve the ng x ng
-  // system sigt(g) phi_g - sum_g' slgg(g'->g) phi_g' = q. Solve it with
+  // system sigt(g) phi_g - sum_g' sigs(0, g', g) phi_g' = q. Solve it with
   // the dense solver and compare against the converged transport run.
   const int ng = 3;
   snap::Input input = reflective_input(ng);
@@ -55,12 +55,12 @@ TEST(Reflective, MultigroupInfiniteMediumMatchesDirectSolve) {
   const IterationResult result = solver.run();
   EXPECT_TRUE(result.converged);
 
-  const auto& xs = solver.problem().xs;
+  const xs::Material& mat = solver.problem().xs.materials[0];
   linalg::Matrix a(ng, ng);
   std::vector<double> rhs(static_cast<std::size_t>(ng), 1.0);
   for (int g = 0; g < ng; ++g) {
-    a(g, g) += xs.sigt(0, g);
-    for (int gp = 0; gp < ng; ++gp) a(g, gp) -= xs.slgg(0, gp, g);
+    a(g, g) += mat.sigt[static_cast<std::size_t>(g)];
+    for (int gp = 0; gp < ng; ++gp) a(g, gp) -= mat.sigs(0, gp, g);
   }
   linalg::gauss_solve(a.view(), rhs);
 

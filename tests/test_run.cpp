@@ -1,7 +1,8 @@
 // api::Run facade: deck-driven runs must be bitwise-identical to the core
 // solvers fed a hand-filled snap::Input (plus hand-built core::ProblemData
-// for region decks) on every lowering route — generated, region and mixed
-// materials/sources, distributed, mms, time — an injected discretisation
+// for region and library decks) on every lowering route — generated,
+// region and mixed materials/sources, [xs] library, distributed, mms,
+// time — an injected discretisation
 // must be checked and the deck's thread count pinned in every
 // single-domain mode, the RunRecord must serialise to schema-shaped JSON,
 // and the observer hooks must fire in lockstep with the recorded
@@ -112,22 +113,19 @@ TEST(Run, RegionRoutesMatchHandFilledDataBitwise) {
   const mesh::HexMesh& mesh = disc->mesh();
   const int ne = disc->num_elements();
 
-  snap::CrossSections xs;
-  xs.num_materials = 3;
+  xs::Library xs;
   xs.ng = 2;
-  xs.sigt.resize({3, 2});
-  xs.sigs.resize({3, 2});
-  xs.siga.resize({3, 2});
-  xs.slgg.resize({3, 2, 2}, 0.0);
   const double sigt[3] = {0.1, 5.0, 20.0};
   const double ratio[3] = {0.5, 0.9, 0.9};
-  for (int m = 0; m < 3; ++m)
-    for (int g = 0; g < 2; ++g) {
-      xs.sigt(m, g) = sigt[m];
-      xs.sigs(m, g) = ratio[m] * sigt[m];
-      xs.siga(m, g) = xs.sigt(m, g) - xs.sigs(m, g);
-      xs.slgg(m, g, g) = xs.sigs(m, g);
-    }
+  for (int m = 0; m < 3; ++m) {
+    xs::Material mat;
+    mat.name = "m" + std::to_string(m);
+    mat.sigt.assign(2, sigt[m]);
+    mat.sigs_total.assign(2, ratio[m] * sigt[m]);
+    mat.sigs.resize({1, 2, 2}, 0.0);
+    for (int g = 0; g < 2; ++g) mat.sigs(0, g, g) = mat.sigs_total[g];
+    xs.materials.push_back(std::move(mat));
+  }
   std::vector<int> material(static_cast<std::size_t>(ne));
   NDArray<double, 2> qext({static_cast<std::size_t>(ne), 2});
   for (int e = 0; e < ne; ++e) {
@@ -153,11 +151,98 @@ TEST(Run, RegionRoutesMatchHandFilledDataBitwise) {
   // region sources, and region materials with SNAP's src_opt placement.
   check("[materials]\nng = 2\nmat_opt = 1\nscattering_ratio = 0.5\n" +
             region_source,
-        core::ProblemData(*disc, snap::make_cross_sections(2, 0.5),
+        core::ProblemData(*disc, xs::Library::synthetic(2, 0.5),
                           snap::assign_materials(mesh, 1), qext));
   check(region_materials + "[source]\nsrc_opt = 2\n",
         core::ProblemData(*disc, xs, material,
                           snap::make_external_source(mesh, 2, 2)));
+}
+
+// The [xs] route outside keff mode, against solvers fed hand-built data
+// from the numbers in decks/xs/criticality.xs: a solve whose `material`
+// line reverses the library's order, and a time run that steps with the
+// library's group speeds.
+TEST(Run, LibraryRoutesMatchHandBuiltDataBitwise) {
+  const std::string common =
+      "[mesh]\ndims = 4 4 4\nextent = 4 4 4\ntwist = 0.001\n"
+      "shuffle_seed = 3\n"
+      "[angular]\nnang = 2\n"
+      "[xs]\nfile = " +
+      std::string(UNSNAP_DECK_DIR) + "/xs/criticality.xs\n" +
+      "[iteration]\niitm = 6\noitm = 2\nfixed_iterations = true\n"
+      "[execution]\nthreads = 1\n";
+  const api::RunConfig solve_config = api::read_deck_text(
+      common +
+      "[materials]\nmaterial = water fuel\nregion = 1 1 3 1 3 1 3\n");
+  const snap::Input input = solve_config.to_input();
+  const auto disc = std::make_shared<const core::Discretization>(input);
+  const mesh::HexMesh& mesh = disc->mesh();
+  const int ne = disc->num_elements();
+
+  // Deck material 0 is the library's water, 1 its fuel. Fission data
+  // plays no part outside keff mode.
+  xs::Library xs;
+  xs.ng = 2;
+  const double sigt[2][2] = {{2.4, 4.8}, {2.0, 3.2}};
+  const double scatter[2][3] = {{1.8, 0.56, 4.2}, {1.2, 0.4, 2.0}};
+  for (int m = 0; m < 2; ++m) {
+    xs::Material mat;
+    mat.name = m == 0 ? "water" : "fuel";
+    mat.sigt = {sigt[m][0], sigt[m][1]};
+    mat.sigs.resize({1, 2, 2}, 0.0);
+    mat.sigs(0, 0, 0) = scatter[m][0];
+    mat.sigs(0, 0, 1) = scatter[m][1];
+    mat.sigs(0, 1, 1) = scatter[m][2];
+    xs.materials.push_back(std::move(mat));
+  }
+  std::vector<int> material(static_cast<std::size_t>(ne), 0);
+  for (int e = 0; e < ne; ++e) {
+    const fem::Vec3 c = mesh.centroid(e);
+    bool inside = true;
+    for (int d = 0; d < 3; ++d) inside = inside && 1.0 < c[d] && c[d] < 3.0;
+    if (inside) material[static_cast<std::size_t>(e)] = 1;
+  }
+  const NDArray<double, 2> qext = snap::make_external_source(mesh, 1, 2);
+
+  {
+    SCOPED_TRACE("solve");
+    api::Run run(solve_config);
+    const api::RunRecord record = run.execute();
+    core::TransportSolver reference(
+        disc, input, core::ProblemData(*disc, xs, material, qext));
+    const core::IterationResult result = reference.run();
+    EXPECT_EQ(run.solver()->problem().material, material);
+    expect_bitwise_equal_flux(run.solver()->scalar_flux(),
+                              reference.scalar_flux());
+    EXPECT_EQ(record.iteration->inners, result.inners);
+    EXPECT_EQ(record.balance->absorption, reference.balance().absorption);
+  }
+
+  {
+    SCOPED_TRACE("time");
+    const api::RunConfig time_config = api::read_deck_text(
+        common + "[run]\nmode = time\n[materials]\nmaterial = water\n"
+                 "[time]\ndt = 0.1\nsteps = 2\n");
+    api::Run run(time_config);
+    const api::RunRecord record = run.execute();
+    const std::vector<int> water(static_cast<std::size_t>(ne), 0);
+    core::TimeDependentSolver td(disc, time_config.to_input(),
+                                 core::ProblemData(*disc, xs, water, qext),
+                                 {2.0, 1.0}, 0.1);
+    td.solver().problem().qext.fill(0.0);  // the deck's zero_source default
+    td.set_initial_condition(1.0);
+    ASSERT_TRUE(record.initial_density.has_value());
+    EXPECT_EQ(*record.initial_density, td.total_density());
+    ASSERT_EQ(record.steps.size(), 2u);
+    for (const api::RunRecord::TimeStep& step : record.steps) {
+      const auto direct = td.step();
+      EXPECT_EQ(step.time, direct.time);
+      EXPECT_EQ(step.total_density, direct.total_density);
+      EXPECT_EQ(step.inners, direct.iteration.inners);
+    }
+    expect_bitwise_equal_flux(run.time_solver()->solver().scalar_flux(),
+                              td.solver().scalar_flux());
+  }
 }
 
 TEST(Run, SourceRegionBalances) {
@@ -272,7 +357,8 @@ TEST(Run, TimeRouteMatchesDirectBitwise) {
   input.fixed_iterations = true;
   const auto disc = std::make_shared<const core::Discretization>(input);
   core::TimeDependentSolver td(
-      disc, input, core::TimeDependentSolver::snap_velocities(input.ng),
+      disc, input,
+      xs::Library::synthetic(input.ng, input.scattering_ratio).velocity,
       0.1);
   td.solver().problem().qext.fill(0.0);
   td.set_initial_condition(1.0);
@@ -306,7 +392,8 @@ TEST(Run, TimeRecordFoldsEveryStepsKrylovAccounting) {
   const snap::Input input = config.to_input();
   const auto disc = std::make_shared<const core::Discretization>(input);
   core::TimeDependentSolver td(
-      disc, input, core::TimeDependentSolver::snap_velocities(input.ng),
+      disc, input,
+      xs::Library::synthetic(input.ng, input.scattering_ratio).velocity,
       0.1);
   td.solver().problem().qext.fill(0.0);  // the deck's zero_source default
   td.set_initial_condition(1.0);

@@ -11,68 +11,6 @@
 namespace unsnap::snap {
 namespace {
 
-class XsGroups : public ::testing::TestWithParam<int> {};
-
-TEST_P(XsGroups, RowsSumToScattering) {
-  const int ng = GetParam();
-  const CrossSections xs = make_cross_sections(ng, 0.5);
-  for (int m = 0; m < xs.num_materials; ++m)
-    for (int g = 0; g < ng; ++g) {
-      double row = 0.0;
-      for (int gp = 0; gp < ng; ++gp) row += xs.slgg(m, g, gp);
-      EXPECT_NEAR(row, xs.sigs(m, g), 1e-13);
-    }
-}
-
-TEST_P(XsGroups, TotalsDecomposeAndArePositive) {
-  const int ng = GetParam();
-  const CrossSections xs = make_cross_sections(ng, 0.7);
-  for (int m = 0; m < xs.num_materials; ++m)
-    for (int g = 0; g < ng; ++g) {
-      EXPECT_GT(xs.sigt(m, g), 0.0);
-      EXPECT_GT(xs.siga(m, g), 0.0);  // subcritical: real absorption
-      EXPECT_GE(xs.sigs(m, g), 0.0);
-      EXPECT_NEAR(xs.sigt(m, g), xs.siga(m, g) + xs.sigs(m, g), 1e-13);
-    }
-}
-
-TEST_P(XsGroups, SnapStyleGroupIncrements) {
-  const int ng = GetParam();
-  const CrossSections xs = make_cross_sections(ng, 0.5);
-  for (int g = 1; g < ng; ++g)
-    EXPECT_NEAR(xs.sigt(0, g) - xs.sigt(0, g - 1), 0.01, 1e-13);
-  EXPECT_NEAR(xs.sigt(0, 0), 1.0, 1e-13);
-  EXPECT_NEAR(xs.sigt(1, 0), 2.0, 1e-13);
-}
-
-TEST_P(XsGroups, TransferEntriesNonNegative) {
-  const CrossSections xs = make_cross_sections(GetParam(), 0.9);
-  for (int m = 0; m < xs.num_materials; ++m)
-    for (int g = 0; g < xs.ng; ++g)
-      for (int gp = 0; gp < xs.ng; ++gp)
-        EXPECT_GE(xs.slgg(m, g, gp), 0.0);
-}
-
-TEST_P(XsGroups, UpscatterPresentExceptTopGroup) {
-  const int ng = GetParam();
-  if (ng < 2) return;
-  const CrossSections xs = make_cross_sections(ng, 0.5);
-  // Group 0 has no higher-energy group: its upscatter share folds back
-  // in-group (0.7 + 0.1 of sigs); every other group upscatters.
-  EXPECT_NEAR(xs.slgg(0, 0, 0), 0.8 * xs.sigs(0, 0), 1e-13);
-  for (int g = 1; g < ng; ++g) EXPECT_GT(xs.slgg(0, g, g - 1), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(GroupCounts, XsGroups,
-                         ::testing::Values(1, 2, 4, 16, 64));
-
-TEST(CrossSectionsEdge, ScatteringRatioRespected) {
-  const CrossSections xs = make_cross_sections(4, 0.25);
-  EXPECT_NEAR(xs.sigs(0, 0) / xs.sigt(0, 0), 0.25, 1e-13);
-  EXPECT_THROW(make_cross_sections(4, 1.0), InvalidInput);
-  EXPECT_THROW(make_cross_sections(0, 0.5), InvalidInput);
-}
-
 mesh::HexMesh make_mesh() {
   mesh::MeshOptions opt;
   opt.dims = {8, 8, 8};

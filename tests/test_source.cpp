@@ -36,12 +36,12 @@ TEST(SourceUpdater, OuterSourceMatchesHandComputation) {
   NodalField qout(input.layout, ne, input.ng, n);
   updater.update_outer(phi, qout);
 
-  const auto& xs = problem.xs;
+  const auto& sigs = problem.xs.materials[0].sigs;
   for (int e = 0; e < ne; ++e)
     for (int g = 0; g < input.ng; ++g) {
       double expected = problem.qext(e, g);
       for (int gp = 0; gp < input.ng; ++gp)
-        if (gp != g) expected += xs.slgg(0, gp, g) * (1.0 + gp);
+        if (gp != g) expected += sigs(0, gp, g) * (1.0 + gp);
       for (int i = 0; i < n; ++i)
         EXPECT_NEAR(qout.at(e, g)[i], expected, 1e-14);
     }
@@ -63,7 +63,8 @@ TEST(SourceUpdater, InnerAddsOnlyInGroupTerm) {
 
   for (int e = 0; e < ne; ++e)
     for (int g = 0; g < input.ng; ++g) {
-      const double expected = 0.5 + problem.xs.slgg(0, g, g) * 2.0;
+      const double expected =
+          0.5 + problem.xs.materials[0].sigs(0, g, g) * 2.0;
       for (int i = 0; i < n; ++i)
         EXPECT_NEAR(qin.at(e, g)[i], expected, 1e-14);
     }
@@ -108,7 +109,7 @@ TEST(MaxRelativeChange, IdenticalFieldsGiveZero) {
 TEST(ProblemDataChecks, RejectsInconsistentShapes) {
   const snap::Input input = tiny_input();
   const auto disc = std::make_shared<const Discretization>(input);
-  auto xs = snap::make_cross_sections(input.ng, 0.5);
+  const auto xs = xs::Library::synthetic(input.ng, 0.5);
   std::vector<int> material(static_cast<std::size_t>(disc->num_elements()),
                             0);
   NDArray<double, 2> bad_q({2, 2}, 1.0);  // wrong shape
@@ -122,8 +123,7 @@ TEST(ProblemDataChecks, RejectsInconsistentShapes) {
   std::vector<int> bad_material(
       static_cast<std::size_t>(disc->num_elements()), 9);  // no material 9
   EXPECT_THROW(
-      ProblemData(*disc, snap::make_cross_sections(input.ng, 0.5),
-                  bad_material, std::move(q)),
+      ProblemData(*disc, xs, bad_material, std::move(q)),
       InvalidInput);
 }
 

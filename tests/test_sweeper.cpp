@@ -213,9 +213,10 @@ TEST(Sweeper, NonFinitePivotThrowsOnTheCallingThread) {
         input.scheme = scheme;
         input.num_threads = threads;
         const auto disc = std::make_shared<const Discretization>(input);
-        snap::CrossSections xs = snap::make_cross_sections(input.ng, 0.0);
+        xs::Library xs = xs::Library::synthetic(input.ng, 0.0);
         for (int g = 0; g < input.ng; ++g)
-          xs.sigt(0, g) = std::numeric_limits<double>::infinity();
+          xs.materials[0].sigt[static_cast<std::size_t>(g)] =
+              std::numeric_limits<double>::infinity();
         const auto ne = static_cast<std::size_t>(disc->num_elements());
         ProblemData data(*disc, std::move(xs), std::vector<int>(ne, 0),
                          NDArray<double, 2>({ne, 2}, 1.0));

@@ -38,7 +38,7 @@ TEST(TimeDependent, RejectsBadSetup) {
 }
 
 TEST(TimeDependent, SnapVelocitiesDecreaseWithGroup) {
-  const auto v = TimeDependentSolver::snap_velocities(4);
+  const auto v = xs::Library::synthetic(4, 0.5).velocity;
   ASSERT_EQ(v.size(), 4u);
   for (std::size_t g = 1; g < v.size(); ++g) EXPECT_LT(v[g], v[g - 1]);
 }

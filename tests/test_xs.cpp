@@ -1,14 +1,14 @@
 // The multigroup cross-section library (src/xs/library.*): MATXS-lite
 // text parsing with located golden errors, exact write/read round-trips,
-// the synthetic SNAP-style generator behind the classic deck route, and
-// groupset partition parsing/derivation.
+// the synthetic SNAP-style generator behind the generated deck route,
+// the select/slice views the solver reads, and groupset partition
+// parsing/derivation.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 
-#include "snap/data.hpp"
 #include "util/assert.hpp"
 #include "xs/library.hpp"
 
@@ -67,28 +67,6 @@ TEST(XsLibrary, SyntheticRoundTripsThroughText) {
   EXPECT_TRUE(back == lib);
 }
 
-TEST(XsLibrary, SyntheticMatchesClassicGenerator) {
-  // snap::make_cross_sections is now a veneer over Library::synthetic;
-  // the lowered tables must agree bitwise so every classic deck and
-  // golden digest is untouched by the xs layer.
-  for (const int ng : {1, 2, 4}) {
-    const snap::CrossSections classic = snap::make_cross_sections(ng, 0.5, 2);
-    const snap::CrossSections lowered =
-        Library::synthetic(ng, 0.5, 2).cross_sections();
-    ASSERT_EQ(lowered.num_materials, classic.num_materials);
-    ASSERT_EQ(lowered.ng, classic.ng);
-    ASSERT_EQ(lowered.nmom, classic.nmom);
-    for (int m = 0; m < classic.num_materials; ++m)
-      for (int g = 0; g < ng; ++g) {
-        EXPECT_EQ(lowered.sigt(m, g), classic.sigt(m, g));
-        EXPECT_EQ(lowered.sigs(m, g), classic.sigs(m, g));
-        EXPECT_EQ(lowered.siga(m, g), classic.siga(m, g));
-        for (int gt = 0; gt < ng; ++gt)
-          EXPECT_EQ(lowered.slgg(m, g, gt), classic.slgg(m, g, gt));
-      }
-  }
-}
-
 TEST(XsLibrary, SyntheticTransferRowsSumToScalarSigs) {
   const Library lib = Library::synthetic(5, 0.7, 1);
   for (const Material& m : lib.materials) {
@@ -105,23 +83,112 @@ TEST(XsLibrary, SyntheticTransferRowsSumToScalarSigs) {
                      1.0 / (1.0 + 0.5 * g));
 }
 
-TEST(XsLibrary, CrossSectionsSelectsAndSlices) {
+TEST(XsLibrary, SyntheticScatteringRatioRespected) {
+  const Library lib = Library::synthetic(4, 0.25);
+  const Material& m = lib.materials[0];
+  EXPECT_NEAR(m.scattering_total(0) / m.sigt[0], 0.25, 1e-13);
+  EXPECT_THROW((void)Library::synthetic(4, 1.0), InvalidInput);
+  EXPECT_THROW((void)Library::synthetic(0, 0.5), InvalidInput);
+}
+
+// SNAP's generated data ("Source and Material Option 1") over group counts.
+class XsGroups : public ::testing::TestWithParam<int> {};
+
+TEST_P(XsGroups, RowsSumToScattering) {
+  const int ng = GetParam();
+  for (const Material& m : Library::synthetic(ng, 0.5).materials)
+    for (int g = 0; g < ng; ++g) {
+      double row = 0.0;
+      for (int gp = 0; gp < ng; ++gp) row += m.sigs(0, g, gp);
+      EXPECT_NEAR(row, m.scattering_total(g), 1e-13);
+    }
+}
+
+TEST_P(XsGroups, TotalsDecomposeAndArePositive) {
+  const int ng = GetParam();
+  for (const Material& m : Library::synthetic(ng, 0.7).materials)
+    for (int g = 0; g < ng; ++g) {
+      const double sigt = m.sigt[static_cast<std::size_t>(g)];
+      EXPECT_GT(sigt, 0.0);
+      EXPECT_GT(sigt - m.scattering_total(g), 0.0);  // real absorption
+      EXPECT_GE(m.scattering_total(g), 0.0);
+    }
+}
+
+TEST_P(XsGroups, SnapStyleGroupIncrements) {
+  const int ng = GetParam();
+  const Library lib = Library::synthetic(ng, 0.5);
+  const std::vector<double>& sigt = lib.materials[0].sigt;
+  for (std::size_t g = 1; g < sigt.size(); ++g)
+    EXPECT_NEAR(sigt[g] - sigt[g - 1], 0.01, 1e-13);
+  EXPECT_NEAR(sigt[0], 1.0, 1e-13);
+  EXPECT_NEAR(lib.materials[1].sigt[0], 2.0, 1e-13);
+}
+
+TEST_P(XsGroups, TransferEntriesNonNegative) {
+  const Library lib = Library::synthetic(GetParam(), 0.9);
+  for (const Material& m : lib.materials)
+    for (int g = 0; g < lib.ng; ++g)
+      for (int gp = 0; gp < lib.ng; ++gp) EXPECT_GE(m.sigs(0, g, gp), 0.0);
+}
+
+TEST_P(XsGroups, UpscatterPresentExceptTopGroup) {
+  const int ng = GetParam();
+  if (ng < 2) return;
+  const Material m = Library::synthetic(ng, 0.5).materials[0];
+  // Group 0 has no higher-energy group: its upscatter share folds back
+  // in-group (0.7 + 0.1 of sigs); every other group upscatters.
+  EXPECT_NEAR(m.sigs(0, 0, 0), 0.8 * m.scattering_total(0), 1e-13);
+  for (int g = 1; g < ng; ++g) EXPECT_GT(m.sigs(0, g, g - 1), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(GroupCounts, XsGroups,
+                         ::testing::Values(1, 2, 4, 16, 64));
+
+TEST(XsLibrary, SelectPicksOrdersAndTruncates) {
   const Library lib = sample_library();
-  const snap::CrossSections sel = lib.cross_sections({"clad"});
-  EXPECT_EQ(sel.num_materials, 1);
-  EXPECT_EQ(sel.sigt(0, 1), 1.5);
-  EXPECT_EQ(sel.sigs(0, 0), 0.25);  // the scalar override wins
-  EXPECT_FALSE(sel.has_fission());  // clad alone carries no nu_sigf
+  const Library sel = lib.select({"clad", "fuel"});
+  ASSERT_EQ(sel.materials.size(), 2u);
+  EXPECT_TRUE(sel.materials[0] == lib.materials[1]);
+  EXPECT_TRUE(sel.materials[1] == lib.materials[0]);
+  EXPECT_EQ(sel.velocity, lib.velocity);
+  EXPECT_EQ(sel.materials[0].scattering_total(0), 0.25);  // override wins
+  EXPECT_FALSE(lib.select({"clad"}).has_fission());
 
-  const snap::CrossSections sliced = lib.cross_sections({}, 1);
-  EXPECT_EQ(sliced.nmom, 1);
-  EXPECT_EQ(sliced.slgg_hi.size(), 0u);
-  EXPECT_TRUE(sliced.has_fission());
-  EXPECT_EQ(sliced.nu_sigf(0, 0), 0.48);
-  EXPECT_EQ(sliced.chi(0, 0), 1.0);
+  const Library cut = lib.select({}, 1);
+  EXPECT_EQ(cut.nmom, 1);
+  ASSERT_EQ(cut.materials[0].sigs.extent(0), 1u);
+  EXPECT_EQ(cut.materials[0].sigs(0, 0, 1), 0.4);
+  EXPECT_TRUE(cut.has_fission());
+  EXPECT_EQ(cut.materials[0].chi, lib.materials[0].chi);
 
-  EXPECT_THROW((void)lib.cross_sections({"poison"}), InvalidInput);
-  EXPECT_THROW((void)lib.cross_sections({}, 3), InvalidInput);
+  // A material without scatter lines reads as zeros of the full shape.
+  Library bare = lib;
+  bare.materials[1].sigs = NDArray<double, 3>();
+  const Material& clad = bare.select().materials[1];
+  ASSERT_EQ(clad.sigs.size(), 8u);
+  EXPECT_EQ(clad.sigs(1, 1, 1), 0.0);
+
+  EXPECT_THROW((void)lib.select({"poison"}), InvalidInput);
+  EXPECT_THROW((void)lib.select({}, 3), InvalidInput);
+}
+
+TEST(XsLibrary, SliceKeepsGlobalScatteringAndDropsFission) {
+  const Library lib = sample_library();
+  const Library fast = lib.slice(0, 0);
+  EXPECT_EQ(fast.ng, 1);
+  EXPECT_EQ(fast.nmom, 2);
+  EXPECT_TRUE(fast.velocity.empty());
+  const Material& fuel = fast.materials[0];
+  EXPECT_EQ(fuel.sigt, std::vector<double>{2.0});
+  EXPECT_EQ(fuel.sigs(0, 0, 0), 1.2);  // the in-block transfer only
+  EXPECT_EQ(fuel.sigs(1, 0, 0), 0.3);
+  // The 0 -> 1 transfer leaves the block but stays in the total, so the
+  // groupset's absorption is the global one.
+  EXPECT_EQ(fuel.scattering_total(0), lib.materials[0].scattering_total(0));
+  EXPECT_FALSE(fast.has_fission());
+  EXPECT_EQ(lib.slice(1, 1).materials[1].scattering_total(0), 0.75);
+  EXPECT_THROW((void)lib.slice(1, 2), InvalidInput);
 }
 
 // --- parser golden errors --------------------------------------------------
@@ -202,6 +269,14 @@ TEST(XsLibrary, GoldenParserErrors) {
   expect_library_error(
       "groups 1\nmoments 2\nmaterial a\nsigt 1\nscatter 1 0 0 -inf\nend\n",
       "t.xs:5:15: expected a finite number, got '-inf'");
+  // Integers past the int range are refused where they stand, not wrapped.
+  expect_library_error("groups 4294967298\n",
+                       "t.xs:1:8: integer '4294967298' out of range");
+  expect_library_error("groups 1\nmoments 4294967297\n",
+                       "t.xs:2:9: integer '4294967297' out of range");
+  expect_library_error(
+      "groups 2\nmaterial a\nsigt 1 1\nscatter 0 4294967296 1 0.3\nend\n",
+      "t.xs:4:11: integer '4294967296' out of range");
   expect_library_error("# only comments\n",
                        "t.xs: missing 'groups' declaration");
   expect_library_error("groups 4\n", "t.xs: library has no materials");
@@ -232,8 +307,7 @@ TEST(XsGroupsets, ParseAndFormat) {
   EXPECT_EQ(sets[0].hi, 1);
   EXPECT_EQ(sets[1].size(), 1);
   EXPECT_EQ(sets[2].size(), 3);
-  EXPECT_EQ(format_groupsets(sets), "0:1,2,3:5");
-  EXPECT_EQ(parse_groupsets(format_groupsets(sets), 6).size(), 3u);
+  EXPECT_EQ(sets[1].lo, 2);
 }
 
 TEST(XsGroupsets, ParseErrors) {
@@ -244,11 +318,14 @@ TEST(XsGroupsets, ParseErrors) {
   EXPECT_THROW((void)parse_groupsets("0:x", 2), InvalidInput);
   EXPECT_THROW((void)parse_groupsets("0,,1", 2), InvalidInput);
   EXPECT_THROW((void)parse_groupsets("1:0", 2), InvalidInput);
+  // Groups past the int range are refused, not wrapped onto 0:1.
+  EXPECT_THROW((void)parse_groupsets("0:4294967297", 2), InvalidInput);
+  EXPECT_THROW((void)parse_groupsets("4294967296:1", 2), InvalidInput);
 }
 
 TEST(XsGroupsets, DefaultPartitionFollowsScatteringStructure) {
   // Pure downscatter (the sample library) splits one set per group.
-  const auto split = default_groupsets(sample_library().cross_sections());
+  const auto split = default_groupsets(sample_library());
   ASSERT_EQ(split.size(), 2u);
   EXPECT_EQ(split[0].lo, 0);
   EXPECT_EQ(split[0].hi, 0);
@@ -257,7 +334,7 @@ TEST(XsGroupsets, DefaultPartitionFollowsScatteringStructure) {
 
   // The synthetic generator upscatters one group, fusing everything.
   const auto fused =
-      default_groupsets(Library::synthetic(4, 0.5).cross_sections());
+      default_groupsets(Library::synthetic(4, 0.5));
   ASSERT_EQ(fused.size(), 1u);
   EXPECT_EQ(fused[0].lo, 0);
   EXPECT_EQ(fused[0].hi, 3);
